@@ -1,9 +1,8 @@
-// Executor benchmarks: per-call thread spawning vs. the shared
-// work-stealing pool, and per-call Query vs. the batched QueryBatch API.
+// Executor benchmarks: the shared work-stealing pool, and per-call Query vs.
+// the batched QueryBatch API.
 //
 // Three layers are measured on one generated universe:
-//  * dispatch cost alone — spawning N std::threads per call (what the
-//    broker used to do) against ThreadPool::ParallelFor on a warm pool;
+//  * dispatch cost alone — ThreadPool::ParallelFor on a warm pool;
 //  * query throughput — serial Query, pooled Query (threads = N), and
 //    QueryBatch over the whole workload (amortizing dispatch and sharing
 //    quotient caches across queries);
@@ -12,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -45,27 +43,7 @@ std::vector<std::string> AllQueries() {
 
 constexpr size_t kDispatchTasks = 64;
 
-// The old broker behavior: spawn + join raw threads on every call.
-void BM_Dispatch_PerCallThreads(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  std::atomic<size_t> sink{0};
-  for (auto _ : state) {
-    std::vector<std::thread> workers;
-    for (size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (size_t i = t; i < kDispatchTasks; i += threads) {
-          sink.fetch_add(i, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
-  benchmark::DoNotOptimize(sink.load());
-  state.SetItemsProcessed(state.iterations() * kDispatchTasks);
-}
-BENCHMARK(BM_Dispatch_PerCallThreads)->Arg(2)->Arg(4);
-
-// The new behavior: one warm pool reused across calls.
+// Dispatch cost of the shared executor: one warm pool reused across calls.
 void BM_Dispatch_Pooled(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   util::ThreadPool pool(threads - 1);  // the caller participates

@@ -1,18 +1,20 @@
 // Airfare broker: the complete two-stage pipeline the paper sketches in §1.
 //
-// Stage 1 — a relational pre-selection (route, date, price) picks the fares
-// that are available at all; stage 2 — the temporal engine filters those by
+// Stage 1 — a relational pre-selection (route, date) picks the fares that
+// are available at all — a plain loop here, standing in for the DBMS the
+// paper assumes; stage 2 — the temporal engine filters those by
 // the customer's required behavior and the cheapest survivor wins. This is
 // exactly the "cheapest fare from San Diego to New York on 10/19 that allows
 // a partial refund or a date change after the first leg has been missed"
 // scenario from the introduction.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <string>
-#include <vector>
 
 #include "broker/database.h"
-#include "relational/table.h"
 
 namespace {
 
@@ -42,7 +44,7 @@ int main() {
   using namespace ctdb;
 
   broker::ContractDatabase db;
-  relational::Table fares;
+  std::map<uint32_t, const Fare*> fares;  // contract id → its fare
 
   const Fare catalog[] = {
       // San Diego → New York fares with the Example 2 policies.
@@ -68,19 +70,12 @@ int main() {
                    id.status().ToString().c_str());
       return 1;
     }
-    fares.Put(*id, relational::Row{
-                       {"airline", std::string(fare.airline)},
-                       {"route", std::string(fare.route)},
-                       {"date", std::string(fare.date)},
-                       {"price", fare.price},
-                   });
+    fares[*id] = &fare;
   }
 
   // ---- The customer's request -------------------------------------------
-  const std::vector<relational::Predicate> relational_filter = {
-      relational::Predicate::Eq("route", std::string("SAN-NYC")),
-      relational::Predicate::Eq("date", std::string("2010-10-19")),
-  };
+  const char* route = "SAN-NYC";
+  const char* date = "2010-10-19";
   const char* temporal_requirement =
       "F(missedFlight & F(refund | dateChange))";
 
@@ -88,7 +83,13 @@ int main() {
               "         refund or a date change after a missed flight\n\n");
 
   // Stage 1: relational pre-selection (paper assumption (a)).
-  const std::vector<uint32_t> available = fares.Select(relational_filter);
+  std::map<uint32_t, int64_t> available;  // contract id → price
+  for (const auto& [id, fare] : fares) {
+    if (std::strcmp(fare->route, route) == 0 &&
+        std::strcmp(fare->date, date) == 0) {
+      available[id] = fare->price;
+    }
+  }
   std::printf("stage 1 (relational): %zu of %zu fares available\n",
               available.size(), fares.size());
 
@@ -108,12 +109,9 @@ int main() {
   int64_t best_price = INT64_MAX;
   std::string best;
   for (uint32_t id : result->matches) {
-    if (std::find(available.begin(), available.end(), id) ==
-        available.end()) {
-      continue;
-    }
-    auto row = fares.Get(id);
-    const int64_t price = std::get<int64_t>(row->at("price"));
+    const auto it = available.find(id);
+    if (it == available.end()) continue;
+    const int64_t price = it->second;
     std::printf("  eligible: %-28s $%lld\n", db.contract(id).name.c_str(),
                 static_cast<long long>(price));
     if (price < best_price) {

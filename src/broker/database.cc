@@ -12,11 +12,10 @@ namespace ctdb::broker {
 
 namespace {
 
-/// Both registration entry points want timings flushed into the metrics
-/// registry even when the caller passed no stats sink: route stats to
-/// `fallback` in that case (when the registry is enabled). The fallback
-/// struct is flushed by RegisterAutomatonLocked like any caller-provided
-/// one.
+/// Register and Replace want timings flushed into the metrics registry even
+/// when the caller passed no stats sink: route stats to `fallback` in that
+/// case (when the registry is enabled). The fallback struct is flushed like
+/// any caller-provided one.
 RegistrationStats* StatsOrObsFallback(RegistrationStats* stats,
                                       RegistrationStats* fallback) {
 #if CTDB_OBS
@@ -76,6 +75,14 @@ void ContractDatabase::Publish() {
   snapshot_ = std::move(snapshot);
 }
 
+Status ContractDatabase::CheckLiveLocked(uint32_t id) const {
+  if (id >= contracts_.size() || contracts_[id] == nullptr) {
+    return Status::NotFound("contract " + std::to_string(id) +
+                            " is not live");
+  }
+  return Status::OK();
+}
+
 Result<uint64_t> ContractDatabase::ResolveClockLocked(uint64_t clock) const {
   if (clock == 0) return clock_ + 1;
   if (clock <= clock_) {
@@ -86,88 +93,47 @@ Result<uint64_t> ContractDatabase::ResolveClockLocked(uint64_t clock) const {
   return clock;
 }
 
-Result<uint32_t> ContractDatabase::Register(std::string name,
-                                            std::string_view ltl_text,
-                                            RegistrationStats* stats,
-                                            uint64_t clock) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  CTDB_ASSIGN_OR_RETURN(const ltl::Formula* spec,
-                        ltl::Parse(ltl_text, &factory_, &vocab_));
-  return RegisterFormulaLocked(std::move(name), spec, std::string(ltl_text),
-                               stats, clock);
+Status ContractDatabase::InternEventsLocked(std::string_view ltl_text) {
+  ltl::FormulaFactory scratch;
+  return ltl::Parse(ltl_text, &scratch, &vocab_).status();
 }
 
-Result<uint32_t> ContractDatabase::RegisterFormula(std::string name,
-                                                   const ltl::Formula* spec,
-                                                   std::string ltl_text,
-                                                   RegistrationStats* stats,
-                                                   uint64_t clock) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  return RegisterFormulaLocked(std::move(name), spec, std::move(ltl_text),
-                               stats, clock);
-}
-
-Result<uint32_t> ContractDatabase::RegisterFormulaLocked(
-    std::string name, const ltl::Formula* spec, std::string ltl_text,
-    RegistrationStats* stats, uint64_t clock) {
-  CTDB_OBS_SPAN(span, "register");
-  RegistrationStats obs_stats;
-  stats = StatsOrObsFallback(stats, &obs_stats);
-  Bitset events;
-  spec->CollectEvents(&events);
-  if (ltl_text.empty()) ltl_text = spec->ToString(vocab_);
-
-  Timer timer;
-  CTDB_ASSIGN_OR_RETURN(
-      automata::Buchi ba,
-      translate::LtlToBuchi(spec, &factory_, options_.translate));
-  if (stats != nullptr) stats->translate_ms = timer.ElapsedMillis();
-  return RegisterAutomatonLocked(std::move(name), std::move(ltl_text),
-                                 std::move(ba), std::move(events), stats,
-                                 clock);
-}
-
-Result<uint32_t> ContractDatabase::RegisterAutomaton(std::string name,
-                                                     std::string ltl_text,
-                                                     automata::Buchi ba,
-                                                     Bitset events,
-                                                     RegistrationStats* stats,
-                                                     uint64_t clock) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  return RegisterAutomatonLocked(std::move(name), std::move(ltl_text),
-                                 std::move(ba), std::move(events), stats,
-                                 clock);
-}
-
-Result<uint32_t> ContractDatabase::RegisterAutomatonLocked(
-    std::string name, std::string ltl_text, automata::Buchi ba, Bitset events,
-    RegistrationStats* stats, uint64_t clock) {
+Result<std::shared_ptr<const Contract>> ContractDatabase::BuildContract(
+    ContractDraft draft, util::ThreadPool* pool, RegistrationStats* stats,
+    bool install) {
+  if (!draft.ba.has_value()) {
+    // A fresh factory per contract: the tableau orders formula sets by
+    // factory node id, so translating in a factory shared with earlier
+    // registrations would make the automaton depend on them.
+    ltl::FormulaFactory factory;
+    CTDB_ASSIGN_OR_RETURN(const ltl::Formula* spec,
+                          ltl::Parse(draft.ltl_text, &factory, vocab_));
+    spec->CollectEvents(&draft.events);
+    Timer timer;
+    CTDB_ASSIGN_OR_RETURN(draft.ba, translate::LtlToBuchi(spec, &factory,
+                                                          options_.translate));
+    if (stats != nullptr) stats->translate_ms = timer.ElapsedMillis();
+  }
   CTDB_OBS_SPAN(span, "register.automaton");
-  RegistrationStats obs_stats;
-  stats = StatsOrObsFallback(stats, &obs_stats);
   // Validation failures return before any master state is touched, so the
   // published snapshot is untouched too.
-  CTDB_RETURN_NOT_OK(ba.Validate());
-  CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
-  auto contract = std::make_unique<Contract>();
-  contract->id = static_cast<uint32_t>(contracts_.size());
-  contract->name = std::move(name);
-  contract->ltl_text = std::move(ltl_text);
-  contract->events = std::move(events);
-  contract->valid_from = at;
+  CTDB_RETURN_NOT_OK(draft.ba->Validate());
+  auto contract = std::make_shared<Contract>();
+  contract->id = draft.id;
+  contract->name = std::move(draft.name);
+  contract->ltl_text = std::move(draft.ltl_text);
+  contract->events = std::move(draft.events);
+  contract->valid_from = draft.valid_from;
+  contract->seed_states = core::ComputeSeedStates(*draft.ba);
   if (stats != nullptr) {
-    stats->ba_states = ba.StateCount();
-    stats->ba_transitions = ba.TransitionCount();
+    stats->ba_states = draft.ba->StateCount();
+    stats->ba_transitions = draft.ba->TransitionCount();
   }
-
-  Timer timer;
-  contract->seed_states = core::ComputeSeedStates(ba);
-
-  timer.Reset();
   if (options_.build_projections) {
     CTDB_OBS_SPAN(proj_span, "register.projections");
+    Timer timer;
     contract->projections = projection::ContractProjections::Precompute(
-        std::move(ba), options_.projections, EnsurePool(options_.threads));
+        std::move(*draft.ba), options_.projections, pool);
     if (stats != nullptr) {
       stats->projection_precompute_ms = timer.ElapsedMillis();
       const projection::ProjectionStats ps = contract->projections.stats();
@@ -176,35 +142,90 @@ Result<uint32_t> ContractDatabase::RegisterAutomatonLocked(
     }
   } else {
     contract->projections =
-        projection::ContractProjections::WrapOnly(std::move(ba));
+        projection::ContractProjections::WrapOnly(std::move(*draft.ba));
   }
+  if (install) InstallLocked(contract, stats);
+  return std::shared_ptr<const Contract>(std::move(contract));
+}
 
+void ContractDatabase::InstallLocked(std::shared_ptr<const Contract> contract,
+                                     RegistrationStats* stats) {
+  const uint32_t id = contract->id;
+  const Contract* old = id < contracts_.size() ? contracts_[id].get() : nullptr;
   if (options_.build_prefilter) {
-    timer.Reset();
-    CTDB_OBS_SPAN(prefilter_span, "register.prefilter_insert");
-    prefilter_.Insert(contract->id, contract->projections.original(),
-                      contract->events);
+    CTDB_OBS_SPAN(span, "register.prefilter_insert");
+    Timer timer;
+    if (old != nullptr) {
+      prefilter_.Remove(id, old->projections.original(), old->events);
+    }
+    prefilter_.Insert(id, contract->projections.original(), contract->events);
     if (stats != nullptr) stats->prefilter_insert_ms = timer.ElapsedMillis();
   }
-
-  if (stats != nullptr) RecordRegistrationStats(*stats);
-  const uint32_t id = contract->id;
-  contracts_.push_back(std::move(contract));
-  live_.Resize(contracts_.size());
+  if (id >= contracts_.size()) {
+    contracts_.resize(id + 1);  // intervening slots stay holes
+    live_.Resize(contracts_.size());
+  }
+  contracts_[id] = std::move(contract);
   live_.Set(id);
+}
+
+Result<uint64_t> ContractDatabase::PutVersionLocked(uint32_t id,
+                                                    std::string name,
+                                                    std::string ltl_text,
+                                                    RegistrationStats* stats,
+                                                    uint64_t clock) {
+  RegistrationStats obs_stats;
+  stats = StatsOrObsFallback(stats, &obs_stats);
+  CTDB_RETURN_NOT_OK(InternEventsLocked(ltl_text));
+  CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
+  // Installing swaps a superseded version out of the slot and the prefilter;
+  // a parse or translation failure returns before that, leaving it live and
+  // unobserved.
+  std::shared_ptr<const Contract> old =
+      id < contracts_.size() ? contracts_[id] : nullptr;
+  CTDB_RETURN_NOT_OK(
+      BuildContract({id, at, std::move(name), std::move(ltl_text), {}, {}},
+                    EnsurePool(options_.threads), stats, /*install=*/true)
+          .status());
+  if (stats != nullptr) RecordRegistrationStats(*stats);
+  if (old != nullptr) {
+    history_ = history_->Append(ContractVersion{old, old->valid_from, at});
+  }
   ops_ += 1;
   clock_ = at;
   Publish();
+  return at;
+}
+
+Result<uint32_t> ContractDatabase::Register(std::string name,
+                                            std::string_view ltl_text,
+                                            RegistrationStats* stats,
+                                            uint64_t clock) {
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  CTDB_OBS_SPAN(span, "register");
+  const auto id = static_cast<uint32_t>(contracts_.size());
+  CTDB_RETURN_NOT_OK(PutVersionLocked(id, std::move(name),
+                                      std::string(ltl_text), stats, clock)
+                         .status());
   return id;
+}
+
+Result<uint32_t> ContractDatabase::RegisterFormula(std::string name,
+                                                   const ltl::Formula* spec,
+                                                   std::string ltl_text,
+                                                   RegistrationStats* stats,
+                                                   uint64_t clock) {
+  if (ltl_text.empty()) {
+    std::lock_guard<std::mutex> lock(writer_mutex_);
+    ltl_text = spec->ToString(vocab_);
+  }
+  return Register(std::move(name), ltl_text, stats, clock);
 }
 
 Result<uint64_t> ContractDatabase::Unregister(uint32_t id, uint64_t clock) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   CTDB_OBS_SPAN(span, "unregister");
-  if (id >= contracts_.size() || contracts_[id] == nullptr) {
-    return Status::NotFound("contract " + std::to_string(id) +
-                            " is not live");
-  }
+  CTDB_RETURN_NOT_OK(CheckLiveLocked(id));
   CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
   std::shared_ptr<const Contract> victim = contracts_[id];
   if (options_.build_prefilter) {
@@ -227,66 +248,10 @@ Result<uint64_t> ContractDatabase::Replace(uint32_t id,
                                            uint64_t clock) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   CTDB_OBS_SPAN(span, "replace");
-  RegistrationStats obs_stats;
-  stats = StatsOrObsFallback(stats, &obs_stats);
-  if (id >= contracts_.size() || contracts_[id] == nullptr) {
-    return Status::NotFound("contract " + std::to_string(id) +
-                            " is not live");
-  }
-  CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
-
-  // Build the replacement fully before touching master state, so a parse or
-  // translation failure leaves the old version live and unobserved.
-  CTDB_ASSIGN_OR_RETURN(const ltl::Formula* spec,
-                        ltl::Parse(ltl_text, &factory_, &vocab_));
-  Bitset events;
-  spec->CollectEvents(&events);
-  Timer timer;
-  CTDB_ASSIGN_OR_RETURN(
-      automata::Buchi ba,
-      translate::LtlToBuchi(spec, &factory_, options_.translate));
-  if (stats != nullptr) stats->translate_ms = timer.ElapsedMillis();
-  CTDB_RETURN_NOT_OK(ba.Validate());
-
-  std::shared_ptr<const Contract> old = contracts_[id];
-  auto fresh = std::make_unique<Contract>();
-  fresh->id = id;
-  fresh->name = old->name;
-  fresh->ltl_text = std::string(ltl_text);
-  fresh->events = std::move(events);
-  fresh->valid_from = at;
-  if (stats != nullptr) {
-    stats->ba_states = ba.StateCount();
-    stats->ba_transitions = ba.TransitionCount();
-  }
-  fresh->seed_states = core::ComputeSeedStates(ba);
-  timer.Reset();
-  if (options_.build_projections) {
-    fresh->projections = projection::ContractProjections::Precompute(
-        std::move(ba), options_.projections, EnsurePool(options_.threads));
-    if (stats != nullptr) {
-      stats->projection_precompute_ms = timer.ElapsedMillis();
-      const projection::ProjectionStats ps = fresh->projections.stats();
-      stats->projection_subsets = ps.subsets_computed;
-      stats->projection_distinct = ps.distinct_partitions;
-    }
-  } else {
-    fresh->projections =
-        projection::ContractProjections::WrapOnly(std::move(ba));
-  }
-  if (options_.build_prefilter) {
-    timer.Reset();
-    prefilter_.Remove(id, old->projections.original(), old->events);
-    prefilter_.Insert(id, fresh->projections.original(), fresh->events);
-    if (stats != nullptr) stats->prefilter_insert_ms = timer.ElapsedMillis();
-  }
-  if (stats != nullptr) RecordRegistrationStats(*stats);
-
-  history_ = history_->Append(ContractVersion{old, old->valid_from, at});
-  contracts_[id] = std::move(fresh);
-  ops_ += 1;
-  clock_ = at;
-  Publish();
+  CTDB_RETURN_NOT_OK(CheckLiveLocked(id));
+  CTDB_ASSIGN_OR_RETURN(const uint64_t at,
+                        PutVersionLocked(id, contracts_[id]->name,
+                                         std::string(ltl_text), stats, clock));
   CTDB_OBS_COUNT("broker.replacements", 1);
   return at;
 }
@@ -298,27 +263,12 @@ Result<uint32_t> ContractDatabase::RestoreContract(
   if (id < contracts_.size()) {
     return Status::InvalidArgument("restored contract ids must ascend");
   }
-  CTDB_RETURN_NOT_OK(ba.Validate());
-  auto contract = std::make_unique<Contract>();
-  contract->id = id;
-  contract->name = std::move(name);
-  contract->ltl_text = std::move(ltl_text);
-  contract->events = std::move(events);
-  contract->valid_from = valid_from;
-  contract->seed_states = core::ComputeSeedStates(ba);
-  contract->projections =
-      options_.build_projections
-          ? projection::ContractProjections::Precompute(
-                std::move(ba), options_.projections,
-                EnsurePool(options_.threads))
-          : projection::ContractProjections::WrapOnly(std::move(ba));
-  if (options_.build_prefilter) {
-    prefilter_.Insert(id, contract->projections.original(), contract->events);
-  }
-  contracts_.resize(id);  // intervening slots stay holes
-  contracts_.push_back(std::move(contract));
-  live_.Resize(contracts_.size());
-  live_.Set(id);
+  CTDB_RETURN_NOT_OK(BuildContract({id, valid_from, std::move(name),
+                                    std::move(ltl_text), std::move(ba),
+                                    std::move(events)},
+                                   EnsurePool(options_.threads), nullptr,
+                                   /*install=*/true)
+                         .status());
   Publish();
   return id;
 }
@@ -330,20 +280,11 @@ Status ContractDatabase::RestoreHistoryVersion(
   if (valid_to <= valid_from) {
     return Status::InvalidArgument("history version has an empty period");
   }
-  CTDB_RETURN_NOT_OK(ba.Validate());
-  auto contract = std::make_shared<Contract>();
-  contract->id = id;
-  contract->name = std::move(name);
-  contract->ltl_text = std::move(ltl_text);
-  contract->events = std::move(events);
-  contract->valid_from = valid_from;
-  contract->seed_states = core::ComputeSeedStates(ba);
-  contract->projections =
-      options_.build_projections
-          ? projection::ContractProjections::Precompute(
-                std::move(ba), options_.projections,
-                EnsurePool(options_.threads))
-          : projection::ContractProjections::WrapOnly(std::move(ba));
+  CTDB_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Contract> contract,
+      BuildContract({id, valid_from, std::move(name), std::move(ltl_text),
+                     std::move(ba), std::move(events)},
+                    EnsurePool(options_.threads), nullptr, /*install=*/false));
   history_ = history_->Append(
       ContractVersion{std::move(contract), valid_from, valid_to});
   Publish();
@@ -391,25 +332,17 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
     }
   }
 
-  // Phase 1 (serial): parse against the shared vocabulary so every event is
-  // interned with its final id, and collect each contract's cited events.
-  std::vector<Bitset> events(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    CTDB_ASSIGN_OR_RETURN(const ltl::Formula* spec,
-                          ltl::Parse(entries[i].ltl_text, &factory_, &vocab_));
-    spec->CollectEvents(&events[i]);
+  // Phase 1 (serial): intern every event with its final id, so the workers
+  // below parse read-only against a vocabulary that is stable under
+  // writer_mutex_.
+  for (const BatchEntry& entry : entries) {
+    CTDB_RETURN_NOT_OK(InternEventsLocked(entry.ltl_text));
   }
 
-  // Phase 2 (parallel): each worker re-parses into a thread-local factory
-  // (read-only against the master vocabulary — every event id is already
-  // fixed, and the vocabulary is stable under writer_mutex_), translates,
-  // and runs the expensive precomputations. No shared mutable state.
-  struct Built {
-    Status status = Status::OK();
-    std::unique_ptr<Contract> contract;
-  };
-  std::vector<Built> built(entries.size());
-
+  // Phase 2 (parallel): build every contract with its final id and clock.
+  // BuildContract shares no mutable state between calls.
+  std::vector<Result<std::shared_ptr<const Contract>>> built(
+      entries.size(), Status::Internal("contract not built"));
   const size_t workers = std::max<size_t>(
       1, std::min(ResolveThreads(threads),
                   entries.size() == 0 ? 1 : entries.size()));
@@ -417,35 +350,15 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
   // projection precompute can still use the shared executor.
   util::ThreadPool* precompute_pool =
       workers <= 1 ? EnsurePool(options_.threads) : nullptr;
-
   auto build_range = [&](size_t start, size_t stride) {
-    ltl::FormulaFactory local_factory;
     for (size_t i = start; i < entries.size(); i += stride) {
-      auto spec = ltl::Parse(entries[i].ltl_text, &local_factory, vocab_);
-      if (!spec.ok()) {
-        built[i].status = spec.status();
-        continue;
-      }
-      auto ba = translate::LtlToBuchi(*spec, &local_factory,
-                                      options_.translate);
-      if (!ba.ok()) {
-        built[i].status = ba.status();
-        continue;
-      }
-      auto contract = std::make_unique<Contract>();
-      contract->name = entries[i].name;
-      contract->ltl_text = entries[i].ltl_text;
-      contract->events = events[i];
-      contract->seed_states = core::ComputeSeedStates(*ba);
-      contract->projections =
-          options_.build_projections
-              ? projection::ContractProjections::Precompute(
-                    std::move(*ba), options_.projections, precompute_pool)
-              : projection::ContractProjections::WrapOnly(std::move(*ba));
-      built[i].contract = std::move(contract);
+      const auto id = static_cast<uint32_t>(contracts_.size() + i);
+      const uint64_t at = clocks != nullptr ? (*clocks)[i] : clock_ + 1 + i;
+      built[i] =
+          BuildContract({id, at, entries[i].name, entries[i].ltl_text, {}, {}},
+                        precompute_pool, nullptr, /*install=*/false);
     }
   };
-
   if (workers <= 1) {
     build_range(0, 1);
   } else {
@@ -455,29 +368,17 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
           return Status::OK();
         }));
   }
-  for (const Built& b : built) {
-    CTDB_RETURN_NOT_OK(b.status);
-  }
+  for (const auto& b : built) CTDB_RETURN_NOT_OK(b.status());
 
-  // Phase 3 (serial): assign ids and clocks, fill the shared index, commit.
-  // One publication at the end — queries observe the whole batch or none of
-  // it.
+  // Phase 3 (serial): fill the shared index and commit. One publication at
+  // the end — queries observe the whole batch or none of it.
   std::vector<uint32_t> ids;
   ids.reserve(entries.size());
-  for (size_t i = 0; i < built.size(); ++i) {
-    Built& b = built[i];
-    b.contract->id = static_cast<uint32_t>(contracts_.size());
-    b.contract->valid_from = clocks != nullptr ? (*clocks)[i] : clock_ + 1;
-    if (options_.build_prefilter) {
-      prefilter_.Insert(b.contract->id, b.contract->projections.original(),
-                        b.contract->events);
-    }
-    ids.push_back(b.contract->id);
-    contracts_.push_back(std::move(b.contract));
-    live_.Resize(contracts_.size());
-    live_.Set(ids.back());
+  for (auto& b : built) {
+    ids.push_back((*b)->id);
+    clock_ = (*b)->valid_from;
     ops_ += 1;
-    clock_ = contracts_.back()->valid_from;
+    InstallLocked(std::move(*b), nullptr);
   }
   Publish();
   return ids;

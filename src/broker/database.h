@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,20 +59,13 @@ class ContractDatabase {
                             uint64_t clock = 0);
 
   /// Registers a pre-parsed contract formula (writer-side entry point: the
-  /// formula must come from this database's factory() — see there).
+  /// formula must come from this database's factory() — see there). The
+  /// contract is built from `ltl_text` (the formula's rendering when empty),
+  /// exactly as Register would build it.
   Result<uint32_t> RegisterFormula(std::string name, const ltl::Formula* spec,
                                    std::string ltl_text = {},
                                    RegistrationStats* stats = nullptr,
                                    uint64_t clock = 0);
-
-  /// Registers a contract from its already-translated automaton (the
-  /// persistence loader's path): skips the LTL→BA translation but performs
-  /// every other registration-time precomputation. `events` must be the
-  /// events cited by the contract's specification (Definition 5).
-  Result<uint32_t> RegisterAutomaton(std::string name, std::string ltl_text,
-                                     automata::Buchi ba, Bitset events,
-                                     RegistrationStats* stats = nullptr,
-                                     uint64_t clock = 0);
 
   /// \brief Unregisters the live contract `id`.
   ///
@@ -109,7 +103,8 @@ class ContractDatabase {
   /// Installs a live contract at exactly slot `id` (>= slot_count();
   /// intervening slots become holes), with its saved system period start.
   /// Runs the full registration-time precompute (seeds, projections,
-  /// prefilter).
+  /// prefilter) on the saved automaton; InvalidArgument when it does not
+  /// validate, with nothing changed.
   Result<uint32_t> RestoreContract(uint32_t id, std::string name,
                                    std::string ltl_text, automata::Buchi ba,
                                    Bitset events, uint64_t valid_from);
@@ -214,9 +209,9 @@ class ContractDatabase {
   /// published snapshot's); for a concurrency-safe view use
   /// Snapshot()->vocabulary().
   const Vocabulary& vocabulary() const { return vocab_; }
-  /// The shared formula factory used by registration. Writer-side: formulas
-  /// built here may be passed to RegisterFormula; the factory is not
-  /// thread-safe, so don't use it concurrently with writers.
+  /// A formula factory for callers composing formulas to pass to
+  /// RegisterFormula (registration itself translates in a fresh factory per
+  /// contract). Not thread-safe: don't use it concurrently with writers.
   ltl::FormulaFactory* factory() { return &factory_; }
 
   /// Writer-side view of the master prefilter index (may be ahead of the
@@ -255,17 +250,53 @@ class ContractDatabase {
   }
 
  private:
-  /// Registration bodies; the caller holds writer_mutex_.
-  Result<uint32_t> RegisterFormulaLocked(std::string name,
-                                         const ltl::Formula* spec,
-                                         std::string ltl_text,
-                                         RegistrationStats* stats,
-                                         uint64_t clock);
-  Result<uint32_t> RegisterAutomatonLocked(std::string name,
-                                           std::string ltl_text,
-                                           automata::Buchi ba, Bitset events,
-                                           RegistrationStats* stats,
-                                           uint64_t clock);
+  /// What BuildContract builds: one contract version's slot, period start,
+  /// name and text — plus, on the restore path, its saved automaton and
+  /// cited events.
+  struct ContractDraft {
+    uint32_t id = 0;
+    uint64_t valid_from = 0;
+    std::string name;
+    std::string ltl_text;
+    std::optional<automata::Buchi> ba;  ///< set: skip parse and translation
+    Bitset events;                      ///< with `ba`: the cited events
+  };
+
+  /// \brief The one contract builder: every registration, replacement,
+  /// batch worker and restore goes through it.
+  ///
+  /// Unless the draft carries an automaton, parses its text into a fresh
+  /// FormulaFactory (read-only against vocab_ — intern first, see
+  /// InternEventsLocked) and translates it, so a contract's automaton
+  /// depends only on its text and the translate options. Then validates the
+  /// automaton and precomputes seed states and projections on `pool`. With
+  /// `install` the result is committed via InstallLocked (the caller holds
+  /// writer_mutex_); without, no state is touched and concurrent calls are
+  /// safe.
+  Result<std::shared_ptr<const Contract>> BuildContract(
+      ContractDraft draft, util::ThreadPool* pool, RegistrationStats* stats,
+      bool install);
+
+  /// Puts `contract` into slot contract->id — swapping the prefilter entry
+  /// of the version it supersedes, growing the slot table with holes as
+  /// needed — and marks it live. Neither ticks the clock nor publishes.
+  void InstallLocked(std::shared_ptr<const Contract> contract,
+                     RegistrationStats* stats);
+
+  /// Interns the events `ltl_text` cites; the parse error when it does not
+  /// parse.
+  Status InternEventsLocked(std::string_view ltl_text);
+
+  /// Register and Replace's shared body: builds `ltl_text` as the version
+  /// of slot `id` valid from the resolved clock and installs it, moving a
+  /// superseded live version to history; returns the clock. The caller
+  /// holds writer_mutex_.
+  Result<uint64_t> PutVersionLocked(uint32_t id, std::string name,
+                                    std::string ltl_text,
+                                    RegistrationStats* stats, uint64_t clock);
+
+  /// NotFound unless `id` names a live contract.
+  Status CheckLiveLocked(uint32_t id) const;
 
   /// Resolves an optional caller clock (0 = self-assign the next tick);
   /// InvalidArgument when an explicit clock does not advance. The caller
@@ -297,7 +328,7 @@ class ContractDatabase {
 
   // --- master state, mutated only under writer_mutex_ -------------------
   Vocabulary vocab_;
-  ltl::FormulaFactory factory_;
+  ltl::FormulaFactory factory_;  ///< callers' only (see factory())
   /// Slot table indexed by contract id; nullptr = unregistered (hole).
   std::vector<std::shared_ptr<const Contract>> contracts_;
   Bitset live_;         ///< bit i set iff contracts_[i] is live

@@ -42,6 +42,41 @@ bool ParseCheckpointFileName(std::string_view name, uint64_t* sequence) {
   return true;
 }
 
+namespace {
+
+/// The one apply path, shared by the durable mutations and WAL replay:
+/// applies mutation `record` to `db` (clock 0 self-assigns the next tick)
+/// and fills in what it assigned — the contract id of a kRegister and the
+/// clock of every mutation.
+Status ApplyMutation(ContractDatabase* db, wal::Record* record,
+                     RegistrationStats* stats) {
+  switch (record->type) {
+    case wal::RecordType::kRegister: {
+      CTDB_ASSIGN_OR_RETURN(record->contract_id,
+                            db->Register(record->name, record->ltl_text, stats,
+                                         record->clock));
+      record->clock = db->last_sequence();
+      return Status::OK();
+    }
+    case wal::RecordType::kUnregister: {
+      CTDB_ASSIGN_OR_RETURN(record->clock,
+                            db->Unregister(record->contract_id, record->clock));
+      return Status::OK();
+    }
+    case wal::RecordType::kReplace: {
+      CTDB_ASSIGN_OR_RETURN(record->clock,
+                            db->Replace(record->contract_id, record->ltl_text,
+                                        stats, record->clock));
+      return Status::OK();
+    }
+    case wal::RecordType::kCheckpoint:
+      break;
+  }
+  return Status::InvalidArgument("not a mutation record");
+}
+
+}  // namespace
+
 Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
     const std::string& dir, const DatabaseOptions& options,
     RecoveryStats* stats_out) {
@@ -117,43 +152,21 @@ Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
       }
       // Replay with the recorded system-period clock so valid periods (and
       // therefore as_of answers) reproduce exactly, sharded or not.
-      switch (record.type) {
-        case wal::RecordType::kRegister: {
-          auto id = db->Register(record.name, record.ltl_text, nullptr,
-                                 record.clock);
-          if (!id.ok()) {
-            return Status::Corruption(
-                StringFormat("replay of record %" PRIu64, record.sequence) +
-                " failed: " + id.status().ToString());
-          }
-          if (*id != record.contract_id) {
-            return Status::Corruption(StringFormat(
-                "replayed record %" PRIu64 " got contract id %u, logged %u",
-                record.sequence, *id, record.contract_id));
-          }
-          break;
-        }
-        case wal::RecordType::kUnregister: {
-          auto at = db->Unregister(record.contract_id, record.clock);
-          if (!at.ok()) {
-            return Status::Corruption(
-                StringFormat("replay of unregister %" PRIu64, record.sequence) +
-                " failed: " + at.status().ToString());
-          }
-          break;
-        }
-        case wal::RecordType::kReplace: {
-          auto at = db->Replace(record.contract_id, record.ltl_text, nullptr,
-                                record.clock);
-          if (!at.ok()) {
-            return Status::Corruption(
-                StringFormat("replay of replace %" PRIu64, record.sequence) +
-                " failed: " + at.status().ToString());
-          }
-          break;
-        }
-        case wal::RecordType::kCheckpoint:
-          break;  // unreachable: skipped above
+      wal::Record replayed = record;
+      const Status applied = ApplyMutation(db.get(), &replayed, nullptr);
+      if (!applied.ok()) {
+        const char* what =
+            record.type == wal::RecordType::kUnregister ? "unregister"
+            : record.type == wal::RecordType::kReplace  ? "replace"
+                                                        : "record";
+        return Status::Corruption(
+            StringFormat("replay of %s %" PRIu64, what, record.sequence) +
+            " failed: " + applied.ToString());
+      }
+      if (replayed.contract_id != record.contract_id) {
+        return Status::Corruption(StringFormat(
+            "replayed record %" PRIu64 " got contract id %u, logged %u",
+            record.sequence, replayed.contract_id, record.contract_id));
       }
       ++next_expected;
       ++stats.records_replayed;
@@ -204,134 +217,97 @@ Result<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
 
 DurableDatabase::~DurableDatabase() { Close(); }
 
-Result<uint32_t> DurableDatabase::Register(std::string name,
-                                           std::string_view ltl_text,
-                                           RegistrationStats* stats) {
-  return RegisterWithClock(std::move(name), ltl_text, stats, 0);
+Status DurableDatabase::Commit(const char* crash_point,
+                              const std::function<Status()>& apply,
+                              std::vector<wal::Record>* records) {
+  std::vector<std::future<Status>> durable;
+  {
+    std::lock_guard<std::mutex> lock(append_mutex_);
+    CTDB_RETURN_NOT_OK(CheckOpen());
+    CTDB_RETURN_NOT_OK(apply());
+    util::CrashPoint(crash_point);
+    durable.reserve(records->size());
+    for (wal::Record& record : *records) {
+      record.sequence = ++sequence_;
+      durable.push_back(writer_->AppendAsync(record));
+    }
+  }
+  Status status;
+  for (std::future<Status>& f : durable) {
+    const Status s = f.get();
+    if (status.ok()) status = s;
+  }
+  CTDB_RETURN_NOT_OK(status);
+  MaybeScheduleCheckpoint();
+  return Status::OK();
 }
 
 Result<uint32_t> DurableDatabase::RegisterWithClock(std::string name,
                                                     std::string_view ltl_text,
                                                     RegistrationStats* stats,
                                                     uint64_t clock) {
-  std::future<Status> durable;
-  Result<uint32_t> id = [&]() -> Result<uint32_t> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->Register(name, ltl_text, stats, clock);
-    if (!result.ok()) return result;
-    sequence_ += 1;
-    durable = writer_->AppendAsync(
-        wal::Record::Register(sequence_, db_->last_sequence(), *result,
-                              std::move(name), std::string(ltl_text)));
-    return result;
-  }();
-  if (!id.ok()) return id;
-  CTDB_RETURN_NOT_OK(durable.get());
-  MaybeScheduleCheckpoint();
-  return id;
-}
-
-Result<std::vector<uint32_t>> DurableDatabase::RegisterBatch(
-    const std::vector<ContractDatabase::BatchEntry>& entries) {
-  return RegisterBatchWithClocks(entries, nullptr);
+  std::vector<wal::Record> records = {wal::Record::Register(
+      0, clock, 0, std::move(name), std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Commit(
+      "durable.register.after_apply",
+      [&] { return ApplyMutation(db_.get(), &records[0], stats); }, &records));
+  return records[0].contract_id;
 }
 
 Result<std::vector<uint32_t>> DurableDatabase::RegisterBatchWithClocks(
     const std::vector<ContractDatabase::BatchEntry>& entries,
     const std::vector<uint64_t>* clocks) {
-  std::vector<std::future<Status>> durable;
-  Result<std::vector<uint32_t>> ids = [&]() -> Result<std::vector<uint32_t>> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->RegisterBatch(entries, 0, clocks);
-    if (!result.ok()) return result;
-    // Each record logs its contract's actual valid_from so replay with
-    // explicit clocks reproduces the same periods.
-    const std::shared_ptr<const DatabaseSnapshot> snapshot = db_->Snapshot();
-    durable.reserve(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      sequence_ += 1;
-      durable.push_back(writer_->AppendAsync(wal::Record::Register(
-          sequence_, snapshot->contract((*result)[i]).valid_from, (*result)[i],
-          entries[i].name, entries[i].ltl_text)));
-    }
-    return result;
-  }();
-  if (!ids.ok()) return ids;
-  Status status;
-  for (std::future<Status>& f : durable) {
-    const Status s = f.get();
-    if (status.ok() && !s.ok()) status = s;
-  }
-  CTDB_RETURN_NOT_OK(status);
-  MaybeScheduleCheckpoint();
+  std::vector<uint32_t> ids;
+  std::vector<wal::Record> records;
+  CTDB_RETURN_NOT_OK(Commit(
+      "durable.register_batch.after_apply",
+      [&]() -> Status {
+        CTDB_ASSIGN_OR_RETURN(ids, db_->RegisterBatch(entries, 0, clocks));
+        // Each record logs its contract's actual valid_from so replay with
+        // explicit clocks reproduces the same periods.
+        const auto snapshot = db_->Snapshot();
+        for (size_t i = 0; i < entries.size(); ++i) {
+          records.push_back(wal::Record::Register(
+              0, snapshot->contract(ids[i]).valid_from, ids[i],
+              entries[i].name, entries[i].ltl_text));
+        }
+        return Status::OK();
+      },
+      &records));
   return ids;
 }
 
 Result<uint64_t> DurableDatabase::UnregisterWithClock(uint32_t id,
                                                       uint64_t clock) {
-  std::future<Status> durable;
-  Result<uint64_t> at = [&]() -> Result<uint64_t> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->Unregister(id, clock);
-    if (!result.ok()) return result;
-    util::CrashPoint("durable.unregister.after_apply");
-    sequence_ += 1;
-    durable =
-        writer_->AppendAsync(wal::Record::Unregister(sequence_, *result, id));
-    return result;
-  }();
-  if (!at.ok()) return at;
-  CTDB_RETURN_NOT_OK(durable.get());
-  MaybeScheduleCheckpoint();
-  return at;
+  std::vector<wal::Record> records = {wal::Record::Unregister(0, clock, id)};
+  CTDB_RETURN_NOT_OK(Commit(
+      "durable.unregister.after_apply",
+      [&] { return ApplyMutation(db_.get(), &records[0], nullptr); },
+      &records));
+  return records[0].clock;
 }
 
 Result<uint64_t> DurableDatabase::ReplaceWithClock(uint32_t id,
                                                    std::string_view ltl_text,
                                                    RegistrationStats* stats,
                                                    uint64_t clock) {
-  std::future<Status> durable;
-  Result<uint64_t> at = [&]() -> Result<uint64_t> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->Replace(id, ltl_text, stats, clock);
-    if (!result.ok()) return result;
-    util::CrashPoint("durable.replace.after_apply");
-    sequence_ += 1;
-    durable = writer_->AppendAsync(wal::Record::Replace(
-        sequence_, *result, id, std::string(ltl_text)));
-    return result;
-  }();
-  if (!at.ok()) return at;
-  CTDB_RETURN_NOT_OK(durable.get());
-  MaybeScheduleCheckpoint();
-  return at;
+  std::vector<wal::Record> records = {
+      wal::Record::Replace(0, clock, id, std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Commit(
+      "durable.replace.after_apply",
+      [&] { return ApplyMutation(db_.get(), &records[0], stats); }, &records));
+  return records[0].clock;
 }
 
 Result<monitor::StreamOpenInfo> DurableDatabase::StreamOpen(
     std::string name, const monitor::StreamOptions& options) {
-  if (closed_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("durable database is closed");
-  }
+  CTDB_RETURN_NOT_OK(CheckOpen());
   return monitor_.Open(std::move(name), db_->Snapshot(), options);
 }
 
 Result<monitor::StreamAppendResult> DurableDatabase::StreamAppend(
     std::string_view name, const monitor::EventBatch& events) {
-  if (closed_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("durable database is closed");
-  }
+  CTDB_RETURN_NOT_OK(CheckOpen());
   return monitor_.Append(name, events);
 }
 
@@ -343,6 +319,7 @@ Result<monitor::StreamCloseInfo> DurableDatabase::StreamClose(
 }
 
 Status DurableDatabase::Checkpoint() {
+  CTDB_RETURN_NOT_OK(CheckOpen());
   std::lock_guard<std::mutex> lock(checkpoint_mutex_);
   Timer timer;
   // Retention first: checkpoints are the GC boundary, so history older than

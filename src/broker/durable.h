@@ -2,12 +2,10 @@
 // group commit, checkpointing and crash recovery (DESIGN.md §10).
 //
 // `DurableDatabase` wraps a `ContractDatabase` and a `wal::LogWriter`.
-// Every mutation — Register, Unregister, Replace — applies to the in-memory
-// database (snapshot-isolated, so queries may observe it immediately) and
-// then appends a WAL record; it returns Ok only once the record is durable
-// under the configured `wal::FsyncPolicy`. A crash therefore loses at most
-// the mutations whose call had not yet returned — everything acknowledged
-// is recovered (verified by the crash-point property test).
+// Every mutation runs through one commit path (Commit): apply to the
+// in-memory database, then log; Ok only once the records are durable under
+// the configured `wal::FsyncPolicy`, so a crash loses at most the mutations
+// whose call had not yet returned.
 //
 // A checkpoint pins the current snapshot, writes it as a full SaveSnapshot
 // image to `checkpoint-<sequence>.ctdb` (temp file + atomic rename, so a
@@ -18,15 +16,16 @@
 //
 // Recovery (`RecoverDatabase`) loads the newest valid checkpoint (falling
 // back to older ones, then to an empty database), replays the segments'
-// mutation records past it in sequence order — Register, Unregister and
-// Replace alike, with their recorded system-period clocks — treats a torn
-// or CRC-corrupt tail as a clean end of log (wal/segment.h), and reports
-// any damage before the tail — including a mutation-sequence gap — as
+// mutation records past it in sequence order through the commit path's
+// apply step, with their recorded system-period clocks, treats a torn or
+// CRC-corrupt tail as a clean end of log (wal/segment.h), and reports any
+// damage before the tail — including a mutation-sequence gap — as
 // Status::Corruption.
 
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -102,12 +101,16 @@ class DurableDatabase : public Broker {
   /// the configured fsync policy. Queries may observe the registration
   /// slightly before it is durable (never after a failure).
   Result<uint32_t> Register(std::string name, std::string_view ltl_text,
-                            RegistrationStats* stats = nullptr) override;
+                            RegistrationStats* stats = nullptr) override {
+    return RegisterWithClock(std::move(name), ltl_text, stats, 0);
+  }
 
   /// Registers a batch atomically (all-or-nothing in memory, one WAL group
   /// on disk). Returns once every record of the batch is durable.
   Result<std::vector<uint32_t>> RegisterBatch(
-      const std::vector<ContractDatabase::BatchEntry>& entries) override;
+      const std::vector<ContractDatabase::BatchEntry>& entries) override {
+    return RegisterBatchWithClocks(entries, nullptr);
+  }
 
   /// Unregisters the live contract `id`; Ok only once the kUnregister
   /// record is durable. Returns the system-period clock of the removal.
@@ -149,15 +152,18 @@ class DurableDatabase : public Broker {
     return db_->InternEvent(name);
   }
 
-  /// \name Read path — forwards to the wrapped snapshot-isolated database.
+  /// \name Read path — forwards to the wrapped snapshot-isolated database
+  /// (Query/QueryBatch return Unavailable after Close()).
   /// @{
   Result<QueryResult> Query(std::string_view ltl_text,
                             const QueryOptions& options = {}) const override {
+    CTDB_RETURN_NOT_OK(CheckOpen());
     return db_->Query(ltl_text, options);
   }
   Result<std::vector<QueryResult>> QueryBatch(
       const std::vector<std::string>& queries,
       const QueryOptions& options = {}) const override {
+    CTDB_RETURN_NOT_OK(CheckOpen());
     return db_->QueryBatch(queries, options);
   }
   std::shared_ptr<const DatabaseSnapshot> Snapshot() const {
@@ -191,11 +197,13 @@ class DurableDatabase : public Broker {
   /// @}
 
   /// Writes a checkpoint now and truncates the log below it. Serialized
-  /// against the automatic background checkpoint.
+  /// against the automatic background checkpoint; Unavailable after
+  /// Close().
   Status Checkpoint() override;
 
-  /// Flushes and stops the log writer; further registrations fail. Run by
-  /// the destructor; idempotent.
+  /// Flushes and stops the log writer; further mutations, checkpoints and
+  /// stream opens/appends return Unavailable. Run by the destructor;
+  /// idempotent.
   Status Close() override;
 
   /// System-period clock of the latest applied mutation (the `as_of`
@@ -208,9 +216,6 @@ class DurableDatabase : public Broker {
   }
 
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-  const wal::DurabilityOptions& durability_options() const {
-    return durability_;
-  }
   const std::string& dir() const { return dir_; }
 
  private:
@@ -218,6 +223,24 @@ class DurableDatabase : public Broker {
                   std::unique_ptr<ContractDatabase> db,
                   std::unique_ptr<wal::LogWriter> writer,
                   RecoveryStats recovery_stats);
+
+  /// \brief The one durable commit path: every mutation and the batch run
+  /// through it.
+  ///
+  /// Under append_mutex_ (so on-disk record order is mutation order):
+  /// Unavailable after Close; `apply` mutates the in-memory database and
+  /// fills `records`; `crash_point`; each record takes the next WAL
+  /// sequence and is enqueued. Then waits until every record is durable and
+  /// schedules a checkpoint when one is due.
+  Status Commit(const char* crash_point, const std::function<Status()>& apply,
+                std::vector<wal::Record>* records);
+
+  Status CheckOpen() const {
+    if (closed_.load(std::memory_order_relaxed)) {
+      return Status::Unavailable("durable database is closed");
+    }
+    return Status::OK();
+  }
 
   /// Launches a background checkpoint when checkpoint_log_bytes is
   /// configured and exceeded.

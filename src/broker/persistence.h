@@ -4,13 +4,12 @@
 // a "fairly static" contract database whose contracts are each queried many
 // times; persisting the registered automata lets a broker restart without
 // re-running the LTL→BA translation for every contract. The format is plain
-// text (the paper's modules exchange text files). The current header is
-// `ctdb-database-v2`: mutation count + system clock, the vocabulary, live
-// contracts with explicit (possibly sparse) ids and their `valid-from`
-// clocks, then the history store — superseded versions with their
-// [valid_from, valid_to) periods and the retention floor (DESIGN.md §14).
-// Legacy `ctdb-database-v1` images (append-only: dense ids, no lifecycle
-// state) still load; their counters reconstruct as ops == clock == count.
+// text (the paper's modules exchange text files). The header is
+// `ctdb-database-v2` (any other is rejected): mutation count + system clock,
+// the vocabulary, live contracts with explicit (possibly sparse) ids and
+// their `valid-from` clocks, then the history store — superseded versions
+// with their [valid_from, valid_to) periods and the retention floor
+// (DESIGN.md §14).
 // Prefilter index, seed sets and projection partitions are recomputed at
 // load time from the stored automata (they are deterministic functions of
 // them and of the load-time DatabaseOptions).

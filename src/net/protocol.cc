@@ -1,73 +1,47 @@
 #include "net/protocol.h"
 
-#include "util/crc32c.h"
+#include "util/codec.h"
 
 namespace ctdb::net {
 
 namespace {
 
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool GetU8(std::string_view data, size_t* offset, uint8_t* v) {
-  if (data.size() - *offset < 1) return false;
-  *v = static_cast<uint8_t>(data[*offset]);
-  *offset += 1;
-  return true;
-}
-
-bool GetU32(std::string_view data, size_t* offset, uint32_t* v) {
-  if (data.size() - *offset < 4) return false;
-  const auto* p = reinterpret_cast<const uint8_t*>(data.data() + *offset);
-  *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
-  *offset += 4;
-  return true;
-}
-
-bool GetU64(std::string_view data, size_t* offset, uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  if (!GetU32(data, offset, &lo) || !GetU32(data, offset, &hi)) return false;
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
-  return true;
-}
-
-bool GetString(std::string_view data, size_t* offset, std::string* s) {
-  uint32_t len = 0;
-  if (!GetU32(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  s->assign(data.substr(*offset, len));
-  *offset += len;
-  return true;
-}
-
-/// True when `count` elements of at least `min_bytes` each can still fit in
-/// the remaining payload — the guard that keeps a hostile count prefix from
-/// turning into a giant vector allocation.
-bool CountFits(std::string_view data, size_t offset, uint32_t count,
-               size_t min_bytes) {
-  return static_cast<uint64_t>(count) * min_bytes <= data.size() - offset;
-}
+using util::CountFits;
+using util::GetString;
+using util::GetU32;
+using util::GetU64;
+using util::GetU8;
+using util::PutString;
+using util::PutU32;
+using util::PutU64;
+using util::PutU8;
 
 Status Corrupt(const char* what) { return Status::Corruption(what); }
+
+/// A request of `kind` with correlation id `id` and an empty body.
+Request Blank(MsgKind kind, uint64_t id) {
+  Request r;
+  r.kind = kind;
+  r.id = id;
+  return r;
+}
+
+/// ids := u32 count · count × u32 (contract ids, matches).
+void PutIds(std::string* out, const std::vector<uint32_t>& ids) {
+  PutU32(out, static_cast<uint32_t>(ids.size()));
+  for (uint32_t id : ids) PutU32(out, id);
+}
+
+bool GetIds(std::string_view data, size_t* offset,
+            std::vector<uint32_t>* ids) {
+  uint32_t count = 0;
+  if (!GetU32(data, offset, &count) || !CountFits(data, *offset, count, 4)) {
+    return false;
+  }
+  ids->resize(count);
+  for (uint32_t& id : *ids) GetU32(data, offset, &id);  // fits: checked above
+  return true;
+}
 
 void PutVerdicts(std::string* out,
                  const std::vector<monitor::VerdictDelta>& verdicts) {
@@ -105,26 +79,20 @@ bool IsRequestKind(uint8_t kind) {
 }
 
 Request Request::Register(uint64_t id, std::string name, std::string ltl) {
-  Request r;
-  r.kind = MsgKind::kRegister;
-  r.id = id;
+  Request r = Blank(MsgKind::kRegister, id);
   r.name = std::move(name);
   r.ltl = std::move(ltl);
   return r;
 }
 
 Request Request::RegisterBatch(uint64_t id, std::vector<Entry> entries) {
-  Request r;
-  r.kind = MsgKind::kRegisterBatch;
-  r.id = id;
+  Request r = Blank(MsgKind::kRegisterBatch, id);
   r.entries = std::move(entries);
   return r;
 }
 
 Request Request::Query(uint64_t id, std::string ltl, uint64_t as_of) {
-  Request r;
-  r.kind = MsgKind::kQuery;
-  r.id = id;
+  Request r = Blank(MsgKind::kQuery, id);
   r.ltl = std::move(ltl);
   r.as_of = as_of;
   return r;
@@ -132,49 +100,35 @@ Request Request::Query(uint64_t id, std::string ltl, uint64_t as_of) {
 
 Request Request::QueryBatch(uint64_t id, std::vector<std::string> queries,
                             uint64_t as_of) {
-  Request r;
-  r.kind = MsgKind::kQueryBatch;
-  r.id = id;
+  Request r = Blank(MsgKind::kQueryBatch, id);
   r.queries = std::move(queries);
   r.as_of = as_of;
   return r;
 }
 
 Request Request::Checkpoint(uint64_t id) {
-  Request r;
-  r.kind = MsgKind::kCheckpoint;
-  r.id = id;
-  return r;
+  return Blank(MsgKind::kCheckpoint, id);
 }
 
 Request Request::Stats(uint64_t id) {
-  Request r;
-  r.kind = MsgKind::kStats;
-  r.id = id;
-  return r;
+  return Blank(MsgKind::kStats, id);
 }
 
 Request Request::Unregister(uint64_t id, uint32_t contract_id) {
-  Request r;
-  r.kind = MsgKind::kUnregister;
-  r.id = id;
+  Request r = Blank(MsgKind::kUnregister, id);
   r.contract_id = contract_id;
   return r;
 }
 
 Request Request::Replace(uint64_t id, uint32_t contract_id, std::string ltl) {
-  Request r;
-  r.kind = MsgKind::kReplace;
-  r.id = id;
+  Request r = Blank(MsgKind::kReplace, id);
   r.contract_id = contract_id;
   r.ltl = std::move(ltl);
   return r;
 }
 
 Request Request::StreamOpen(uint64_t id, std::string name, uint64_t as_of) {
-  Request r;
-  r.kind = MsgKind::kStreamOpen;
-  r.id = id;
+  Request r = Blank(MsgKind::kStreamOpen, id);
   r.name = std::move(name);
   r.as_of = as_of;
   return r;
@@ -182,18 +136,14 @@ Request Request::StreamOpen(uint64_t id, std::string name, uint64_t as_of) {
 
 Request Request::StreamAppend(uint64_t id, std::string name,
                               monitor::EventBatch events) {
-  Request r;
-  r.kind = MsgKind::kStreamAppend;
-  r.id = id;
+  Request r = Blank(MsgKind::kStreamAppend, id);
   r.name = std::move(name);
   r.events = std::move(events);
   return r;
 }
 
 Request Request::StreamClose(uint64_t id, std::string name) {
-  Request r;
-  r.kind = MsgKind::kStreamClose;
-  r.id = id;
+  Request r = Blank(MsgKind::kStreamClose, id);
   r.name = std::move(name);
   return r;
 }
@@ -386,15 +336,13 @@ std::string EncodeResponsePayload(const Response& response) {
   switch (response.request_kind) {
     case MsgKind::kRegister:
     case MsgKind::kRegisterBatch:
-      PutU32(&out, static_cast<uint32_t>(response.ids.size()));
-      for (uint32_t id : response.ids) PutU32(&out, id);
+      PutIds(&out, response.ids);
       break;
     case MsgKind::kQuery:
     case MsgKind::kQueryBatch:
       PutU32(&out, static_cast<uint32_t>(response.answers.size()));
       for (const Response::Answer& answer : response.answers) {
-        PutU32(&out, static_cast<uint32_t>(answer.matches.size()));
-        for (uint32_t id : answer.matches) PutU32(&out, id);
+        PutIds(&out, answer.matches);
         PutU64(&out, answer.total_us);
         PutU64(&out, answer.candidates);
       }
@@ -457,20 +405,11 @@ Status DecodeResponsePayload(std::string_view payload, Response* response) {
   if (response->code == StatusCode::kOk) {
     switch (response->request_kind) {
       case MsgKind::kRegister:
-      case MsgKind::kRegisterBatch: {
-        uint32_t count = 0;
-        if (!GetU32(payload, &offset, &count) ||
-            !CountFits(payload, offset, count, 4)) {
+      case MsgKind::kRegisterBatch:
+        if (!GetIds(payload, &offset, &response->ids)) {
           return Corrupt("response id count exceeds payload");
         }
-        response->ids.resize(count);
-        for (uint32_t& id : response->ids) {
-          if (!GetU32(payload, &offset, &id)) {
-            return Corrupt("response ids truncated");
-          }
-        }
         break;
-      }
       case MsgKind::kQuery:
       case MsgKind::kQueryBatch: {
         uint32_t count = 0;
@@ -480,16 +419,8 @@ Status DecodeResponsePayload(std::string_view payload, Response* response) {
         }
         response->answers.resize(count);
         for (Response::Answer& answer : response->answers) {
-          uint32_t matches = 0;
-          if (!GetU32(payload, &offset, &matches) ||
-              !CountFits(payload, offset, matches, 4)) {
+          if (!GetIds(payload, &offset, &answer.matches)) {
             return Corrupt("match count exceeds payload");
-          }
-          answer.matches.resize(matches);
-          for (uint32_t& id : answer.matches) {
-            if (!GetU32(payload, &offset, &id)) {
-              return Corrupt("answer matches truncated");
-            }
           }
           if (!GetU64(payload, &offset, &answer.total_us) ||
               !GetU64(payload, &offset, &answer.candidates)) {
@@ -543,40 +474,17 @@ Status DecodeResponsePayload(std::string_view payload, Response* response) {
   return Status::OK();
 }
 
-namespace {
-
-std::string EncodeFrame(std::string payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, util::Crc32c(payload));
-  out += payload;
-  return out;
-}
-
-}  // namespace
-
 std::string EncodeRequestFrame(const Request& request) {
-  return EncodeFrame(EncodeRequestPayload(request));
+  return util::EncodeFrame(EncodeRequestPayload(request));
 }
 
 std::string EncodeResponseFrame(const Response& response) {
-  return EncodeFrame(EncodeResponsePayload(response));
+  return util::EncodeFrame(EncodeResponsePayload(response));
 }
 
 FrameScan ScanFrame(std::string_view data, size_t* offset,
                     std::string_view* payload) {
-  size_t pos = *offset;
-  uint32_t length = 0, crc = 0;
-  if (!GetU32(data, &pos, &length)) return FrameScan::kNeedMore;
-  if (length > kMaxFrameBytes) return FrameScan::kCorrupt;
-  if (!GetU32(data, &pos, &crc)) return FrameScan::kNeedMore;
-  if (data.size() - pos < length) return FrameScan::kNeedMore;
-  const std::string_view body = data.substr(pos, length);
-  if (util::Crc32c(body) != crc) return FrameScan::kCorrupt;
-  *payload = body;
-  *offset = pos + length;
-  return FrameScan::kFrame;
+  return util::ScanFrame(data, offset, payload, 0, kMaxFrameBytes);
 }
 
 Status DecodeRequestFrame(std::string_view data, size_t* offset,
@@ -587,18 +495,6 @@ Status DecodeRequestFrame(std::string_view data, size_t* offset,
     return Corrupt("request frame invalid or incomplete");
   }
   CTDB_RETURN_NOT_OK(DecodeRequestPayload(payload, request));
-  *offset = pos;
-  return Status::OK();
-}
-
-Status DecodeResponseFrame(std::string_view data, size_t* offset,
-                           Response* response) {
-  std::string_view payload;
-  size_t pos = *offset;
-  if (ScanFrame(data, &pos, &payload) != FrameScan::kFrame) {
-    return Corrupt("response frame invalid or incomplete");
-  }
-  CTDB_RETURN_NOT_OK(DecodeResponsePayload(payload, response));
   *offset = pos;
   return Status::OK();
 }

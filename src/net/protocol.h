@@ -1,11 +1,7 @@
 // Wire protocol of the ctdb network service (DESIGN.md §12).
 //
-// A frame on the wire mirrors the WAL record framing (wal/record.h):
-//
-//   ┌────────────┬────────────┬──────────────────────────────┐
-//   │ length u32 │ crc32c u32 │ payload (`length` bytes)     │
-//   └────────────┴────────────┴──────────────────────────────┘
-//     little-endian             crc is over the payload only
+// A frame on the wire is the length · crc32c · payload frame the WAL uses
+// too (util/codec.h), with
 //
 //   request payload  := kind u8 · id u64 · body(kind)
 //   response payload := kResponse u8 · id u64 · request_kind u8 ·
@@ -69,12 +65,13 @@
 #include <vector>
 
 #include "monitor/types.h"
+#include "util/codec.h"
 #include "util/result.h"
 
 namespace ctdb::net {
 
-/// Frame header size: length u32 + crc u32.
-inline constexpr size_t kFrameHeaderBytes = 8;
+using util::FrameScan;
+using util::kFrameHeaderBytes;
 
 /// Upper bound on one payload; larger length prefixes are rejected as
 /// corruption before any allocation, bounding memory under hostile input.
@@ -193,18 +190,10 @@ Status DecodeResponsePayload(std::string_view payload, Response* response);
 std::string EncodeRequestFrame(const Request& request);
 std::string EncodeResponseFrame(const Response& response);
 
-/// Outcome of scanning a byte buffer for one whole frame.
-enum class FrameScan {
-  kFrame,      ///< a complete, CRC-valid frame starts at `offset`
-  kNeedMore,   ///< the buffer ends inside the header or payload
-  kCorrupt,    ///< bad length, CRC mismatch — the stream is unrecoverable
-};
-
 /// \brief Extracts the payload of the frame starting at `data[offset]`.
 ///
-/// On kFrame advances `*offset` past the frame and points `*payload` into
-/// `data` (valid while `data` is). Never allocates; a hostile length prefix
-/// (> kMaxFrameBytes) is kCorrupt, an incomplete frame is kNeedMore.
+/// util::ScanFrame bounded by kMaxFrameBytes: a hostile length prefix is
+/// kCorrupt (the stream is unrecoverable), an incomplete frame kNeedMore.
 FrameScan ScanFrame(std::string_view data, size_t* offset,
                     std::string_view* payload);
 
@@ -212,8 +201,6 @@ FrameScan ScanFrame(std::string_view data, size_t* offset,
 /// kNeedMore comes back as Corruption — use ScanFrame for streaming.
 Status DecodeRequestFrame(std::string_view data, size_t* offset,
                           Request* request);
-Status DecodeResponseFrame(std::string_view data, size_t* offset,
-                           Response* response);
 /// @}
 
 }  // namespace ctdb::net

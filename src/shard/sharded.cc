@@ -1,6 +1,7 @@
 #include "shard/sharded.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -37,6 +38,79 @@ bool LooksLikeUnshardedData(const std::string& dir) {
     if (wal::ParseSegmentFileName(name, &index)) return true;
   }
   return false;
+}
+
+/// The shard owning the lowest next global id (slots[k] * n + k): where the
+/// next registration goes, given per-shard slot counts.
+size_t RouteShard(const std::vector<uint64_t>& slots) {
+  const size_t n = slots.size();
+  size_t best = 0;
+  for (size_t k = 1; k < n; ++k) {
+    if (slots[k] * n + k < slots[best] * n + best) best = k;
+  }
+  return best;
+}
+
+/// The router's one fan-out: runs `fn(k)` for every shard k — in parallel on
+/// `pool` when there is one and more than one shard — and returns the
+/// lowest-numbered shard's error. Every shard runs whatever the others
+/// return, so the result does not depend on the interleaving.
+Status Scatter(util::ThreadPool* pool, size_t n,
+               const std::function<Status(size_t)>& fn) {
+  std::vector<Status> status(n, Status::OK());
+  auto one = [&](size_t k) {
+    status[k] = fn(k);
+    return Status::OK();
+  };
+  if (pool != nullptr && n > 1) {
+    CTDB_RETURN_NOT_OK(pool->ParallelFor(0, n, one));
+  } else {
+    for (size_t k = 0; k < n; ++k) (void)one(k);
+  }
+  for (const Status& s : status) CTDB_RETURN_NOT_OK(s);
+  return Status::OK();
+}
+
+/// The router's one gather: a k-way merge of per-shard streams into
+/// ascending global id order. Shard k contributes `sizes[k]` elements in
+/// ascending local id `local_id(k, i)`; global = local * n + k preserves that
+/// order within a shard. `emit(k, i, global_id)` receives each element once.
+template <typename LocalId, typename Emit>
+void MergeByGlobalId(const std::vector<size_t>& sizes, LocalId local_id,
+                     Emit emit) {
+  const size_t n = sizes.size();
+  std::vector<size_t> cursor(n, 0);
+  while (true) {
+    size_t best = n;
+    uint32_t best_id = 0;
+    for (size_t k = 0; k < n; ++k) {
+      if (cursor[k] >= sizes[k]) continue;
+      const uint32_t gid =
+          ShardedDatabase::GlobalId(k, local_id(k, cursor[k]), n);
+      if (best == n || gid < best_id) {
+        best = k;
+        best_id = gid;
+      }
+    }
+    if (best == n) return;
+    emit(best, cursor[best]++, best_id);
+  }
+}
+
+/// Verdict lists (stream deltas or final verdicts) of every shard, merged
+/// by global contract id.
+std::vector<monitor::VerdictDelta> MergeVerdicts(
+    const std::vector<const std::vector<monitor::VerdictDelta>*>& per_shard) {
+  std::vector<size_t> sizes;
+  for (const auto* verdicts : per_shard) sizes.push_back(verdicts->size());
+  std::vector<monitor::VerdictDelta> merged;
+  MergeByGlobalId(
+      sizes,
+      [&](size_t k, size_t i) { return (*per_shard[k])[i].contract_id; },
+      [&](size_t k, size_t i, uint32_t gid) {
+        merged.push_back({gid, (*per_shard[k])[i].verdict});
+      });
+  return merged;
 }
 
 }  // namespace
@@ -91,30 +165,13 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
 
   // Recover every shard in parallel; wall time is the slowest shard.
   std::vector<std::unique_ptr<broker::DurableDatabase>> shards(n);
-  std::vector<Status> open_status(n, Status::OK());
-  auto open_one = [&](size_t k) {
+  CTDB_RETURN_NOT_OK(Scatter(pool.get(), n, [&](size_t k) -> Status {
     auto opened = broker::DurableDatabase::Open(
         dir + "/" + manifest.dirs[k], durability, shard_options);
-    if (!opened.ok()) {
-      open_status[k] = AnnotateShard(k, opened.status());
-      return open_status[k];
-    }
+    if (!opened.ok()) return AnnotateShard(k, opened.status());
     shards[k] = std::move(*opened);
     return Status::OK();
-  };
-  if (pool) {
-    // Ignore ParallelFor's first-error shortcut: report the lowest shard's
-    // error deterministically, whatever the interleaving.
-    (void)pool->ParallelFor(0, n, open_one);
-  } else {
-    for (size_t k = 0; k < n; ++k) {
-      if (!shards[k]) (void)open_one(k);
-    }
-  }
-  for (size_t k = 0; k < n; ++k) {
-    if (!shards[k] && open_status[k].ok()) (void)open_one(k);
-    CTDB_RETURN_NOT_OK(open_status[k]);
-  }
+  }));
 
   ShardedRecoveryStats stats;
   stats.shards = n;
@@ -193,14 +250,6 @@ ShardedDatabase::~ShardedDatabase() {
 #endif
 }
 
-size_t ShardedDatabase::RouteShardLocked() const {
-  size_t best = 0;
-  for (size_t k = 1; k < shards_.size(); ++k) {
-    if (NextGlobalIdOf(k) < NextGlobalIdOf(best)) best = k;
-  }
-  return best;
-}
-
 Status ShardedDatabase::BroadcastEventsLocked(size_t from, uint32_t local_id) {
   if (shards_.size() == 1) return Status::OK();
   const auto snapshot = shards_[from]->Snapshot();
@@ -222,7 +271,7 @@ Result<uint32_t> ShardedDatabase::Register(std::string name,
                                            broker::RegistrationStats* stats) {
   CTDB_RETURN_NOT_OK(CheckOpen());
   std::lock_guard<std::mutex> lock(route_mutex_);
-  const size_t k = RouteShardLocked();
+  const size_t k = RouteShard(slots_);
   const uint64_t at = clock_ + 1;
   auto local = shards_[k]->RegisterWithClock(std::move(name), ltl_text, stats,
                                              at);
@@ -277,58 +326,29 @@ Result<std::vector<uint32_t>> ShardedDatabase::RegisterBatch(
   // same clock range as the equivalent sequence of single registrations.
   std::vector<uint32_t> global_ids(entries.size());
   std::vector<std::vector<broker::ContractDatabase::BatchEntry>> sub(n);
-  std::vector<std::vector<size_t>> sub_origin(n);  // entry index per slot
   std::vector<std::vector<uint64_t>> sub_clocks(n);
   std::vector<uint64_t> planned = slots_;
   for (size_t i = 0; i < entries.size(); ++i) {
-    size_t best = 0;
-    for (size_t k = 1; k < n; ++k) {
-      if (planned[k] * n + k < planned[best] * n + best) best = k;
-    }
+    const size_t best = RouteShard(planned);
     global_ids[i] =
         GlobalId(best, static_cast<uint32_t>(planned[best]), n);
     planned[best] += 1;
     sub[best].push_back(entries[i]);
-    sub_origin[best].push_back(i);
     sub_clocks[best].push_back(clock_ + 1 + i);
   }
 
   // Commit the sub-batches, each atomic within its shard.
-  std::vector<Status> shard_status(n, Status::OK());
-  auto commit_one = [&](size_t k) {
+  const Status committed = Scatter(pool_.get(), n, [&](size_t k) -> Status {
     if (sub[k].empty()) return Status::OK();
     auto ids = shards_[k]->RegisterBatchWithClocks(sub[k], &sub_clocks[k]);
-    if (!ids.ok()) {
-      shard_status[k] = AnnotateShard(k, ids.status());
-      return shard_status[k];
-    }
+    if (!ids.ok()) return AnnotateShard(k, ids.status());
     for (size_t slot = 0; slot < ids->size(); ++slot) {
-      if ((*ids)[slot] !=
-          LocalId(global_ids[sub_origin[k][slot]], n)) {
-        shard_status[k] = Status::Internal(
-            AnnotateShard(k, Status::Internal("local id out of step"))
-                .message());
-        return shard_status[k];
+      if ((*ids)[slot] != slots_[k] + slot) {
+        return AnnotateShard(k, Status::Internal("local id out of step"));
       }
     }
     return Status::OK();
-  };
-  Status first;
-  if (pool_) {
-    (void)pool_->ParallelFor(0, n, commit_one);
-    // ParallelFor may skip shards after the first error; run the skipped
-    // ones so the commit is as complete as it can be, then report the
-    // lowest-numbered failure deterministically.
-    for (size_t k = 0; k < n; ++k) {
-      if (!sub[k].empty() && shard_status[k].ok() &&
-          shards_[k]->slot_count() < planned[k]) {
-        (void)commit_one(k);
-      }
-      if (first.ok() && !shard_status[k].ok()) first = shard_status[k];
-    }
-  } else {
-    first = commit_one(0);
-  }
+  });
   // Resync slots and the clock from the shards: on a partial failure some
   // sub-batches committed (and consumed their planned clocks), and the
   // router view must cover them.
@@ -336,44 +356,48 @@ Result<std::vector<uint32_t>> ShardedDatabase::RegisterBatch(
     slots_[k] = shards_[k]->slot_count();
     clock_ = std::max(clock_, shards_[k]->last_sequence());
   }
-  CTDB_RETURN_NOT_OK(first);
+  CTDB_RETURN_NOT_OK(committed);
 
-  for (size_t k = 0; k < n; ++k) {
 #if CTDB_OBS
+  for (size_t k = 0; k < n; ++k) {
     if (obs::Enabled() && !register_counters_.empty() && !sub[k].empty()) {
       register_counters_[k]->Add(sub[k].size());
     }
+  }
 #endif
-    for (size_t slot = 0; slot < sub[k].size(); ++slot) {
-      CTDB_RETURN_NOT_OK(BroadcastEventsLocked(
-          k, LocalId(global_ids[sub_origin[k][slot]], n)));
-    }
+  for (uint32_t gid : global_ids) {
+    CTDB_RETURN_NOT_OK(
+        BroadcastEventsLocked(ShardOfId(gid, n), LocalId(gid, n)));
   }
   return global_ids;
+}
+
+Result<uint64_t> ShardedDatabase::MutateLocked(
+    uint32_t id, const std::function<Result<uint64_t>(
+                     broker::DurableDatabase*, uint32_t, uint64_t)>& op) {
+  const size_t n = shards_.size();
+  const size_t k = ShardOfId(id, n);
+  // Surface the global id in the not-found case: the shard only knows the
+  // local id, and an out-of-range local would read as a different contract.
+  const Status not_found =
+      Status::NotFound("contract " + std::to_string(id) + " is not live");
+  if (LocalId(id, n) >= slots_[k]) return not_found;
+  auto at = op(shards_[k].get(), LocalId(id, n), clock_ + 1);
+  // Resync even on failure: a WAL-append error still ticked the shard.
+  clock_ = std::max(clock_, shards_[k]->last_sequence());
+  if (at.status().code() == StatusCode::kNotFound) return not_found;
+  return at;
 }
 
 Result<uint64_t> ShardedDatabase::Unregister(uint32_t id) {
   CTDB_RETURN_NOT_OK(CheckOpen());
   std::lock_guard<std::mutex> lock(route_mutex_);
-  const size_t n = shards_.size();
-  const size_t k = ShardOfId(id, n);
-  // Surface the global id in the not-found case: the shard only knows the
-  // local id, and an out-of-range local would read as a different contract.
-  if (LocalId(id, n) >= slots_[k]) {
-    return Status::NotFound("contract " + std::to_string(id) +
-                            " is not live");
-  }
-  const uint64_t at = clock_ + 1;
-  auto result = shards_[k]->UnregisterWithClock(LocalId(id, n), at);
-  // Resync even on failure: a WAL-append error still ticked the shard.
-  clock_ = std::max(clock_, shards_[k]->last_sequence());
-  if (!result.ok()) {
-    if (result.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("contract " + std::to_string(id) +
-                              " is not live");
-    }
-    return AnnotateShard(k, result.status());
-  }
+  CTDB_ASSIGN_OR_RETURN(
+      const uint64_t at,
+      MutateLocked(id, [](broker::DurableDatabase* shard, uint32_t local,
+                          uint64_t clock) {
+        return shard->UnregisterWithClock(local, clock);
+      }));
   CTDB_OBS_COUNT("shard.unregisters", 1);
   return at;
 }
@@ -383,36 +407,24 @@ Result<uint64_t> ShardedDatabase::Replace(uint32_t id,
                                           broker::RegistrationStats* stats) {
   CTDB_RETURN_NOT_OK(CheckOpen());
   std::lock_guard<std::mutex> lock(route_mutex_);
-  const size_t n = shards_.size();
-  const size_t k = ShardOfId(id, n);
-  if (LocalId(id, n) >= slots_[k]) {
-    return Status::NotFound("contract " + std::to_string(id) +
-                            " is not live");
-  }
-  const uint64_t at = clock_ + 1;
-  auto result = shards_[k]->ReplaceWithClock(LocalId(id, n), ltl_text, stats,
-                                             at);
-  // Resync even on failure: a WAL-append error still ticked the shard.
-  clock_ = std::max(clock_, shards_[k]->last_sequence());
-  if (!result.ok()) {
-    if (result.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("contract " + std::to_string(id) +
-                              " is not live");
-    }
-    return result.status();  // parse/translate errors keep their wording
-  }
+  CTDB_ASSIGN_OR_RETURN(
+      const uint64_t at,
+      MutateLocked(id, [&](broker::DurableDatabase* shard, uint32_t local,
+                           uint64_t clock) {
+        return shard->ReplaceWithClock(local, ltl_text, stats, clock);
+      }));
   // The replacement text may cite brand-new events; keep the vocabularies
   // in sync exactly as Register does.
-  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(k, LocalId(id, n)));
+  const size_t n = shards_.size();
+  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(ShardOfId(id, n), LocalId(id, n)));
   CTDB_OBS_COUNT("shard.replaces", 1);
   return at;
 }
 
 Result<broker::QueryResult> ShardedDatabase::Query(
     std::string_view ltl_text, const broker::QueryOptions& options) const {
-  const std::string query(ltl_text);
   CTDB_ASSIGN_OR_RETURN(std::vector<broker::QueryResult> results,
-                        QueryBatch({query}, options));
+                        QueryBatch({std::string(ltl_text)}, options));
   return std::move(results[0]);
 }
 
@@ -424,57 +436,34 @@ Result<std::vector<broker::QueryResult>> ShardedDatabase::QueryBatch(
   Timer wall;
 
   // Scatter: every shard evaluates the whole batch against one of its
-  // snapshots.
+  // snapshots. Parse / unknown-event errors are identical across shards
+  // (the vocabularies are kept in sync), so shard 0's wording is reported.
   std::vector<Result<std::vector<broker::QueryResult>>> per_shard(
       n, Status::Internal("shard not reached"));
-  auto run_one = [&](size_t k) {
+  CTDB_RETURN_NOT_OK(Scatter(pool_.get(), n, [&](size_t k) {
     per_shard[k] = shards_[k]->QueryBatch(queries, options);
-    return Status::OK();  // errors merge below, in shard order
-  };
-  if (pool_ && n > 1) {
-    CTDB_RETURN_NOT_OK(pool_->ParallelFor(0, n, run_one));
-  } else {
-    for (size_t k = 0; k < n; ++k) (void)run_one(k);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    // Parse / unknown-event errors are identical across shards (the
-    // vocabularies are kept in sync); report shard 0's wording.
-    CTDB_RETURN_NOT_OK(per_shard[k].status());
-  }
+    return per_shard[k].status();
+  }));
   const double wall_ms = wall.ElapsedMillis();
 
   // Gather: merge each query's shard results by ascending global id.
   std::vector<broker::QueryResult> merged(queries.size());
+  std::vector<size_t> sizes(n);
   for (size_t q = 0; q < queries.size(); ++q) {
     broker::QueryResult& out = merged[q];
-    // k-way merge by global id; shard streams are already sorted by local
-    // id, and global = local * n + k preserves that order within a shard.
-    std::vector<size_t> cursor(n, 0);
-    size_t total = 0;
     for (size_t k = 0; k < n; ++k) {
-      total += (*per_shard[k])[q].matches.size();
+      sizes[k] = (*per_shard[k])[q].matches.size();
     }
-    out.matches.reserve(total);
-    if (options.collect_witnesses) out.witnesses.reserve(total);
-    while (out.matches.size() < total) {
-      size_t best = n;
-      uint64_t best_id = 0;
-      for (size_t k = 0; k < n; ++k) {
-        const auto& r = (*per_shard[k])[q];
-        if (cursor[k] >= r.matches.size()) continue;
-        const uint64_t gid = GlobalId(k, r.matches[cursor[k]], n);
-        if (best == n || gid < best_id) {
-          best = k;
-          best_id = gid;
-        }
-      }
-      auto& r = (*per_shard[best])[q];
-      out.matches.push_back(static_cast<uint32_t>(best_id));
-      if (options.collect_witnesses) {
-        out.witnesses.push_back(std::move(r.witnesses[cursor[best]]));
-      }
-      cursor[best] += 1;
-    }
+    MergeByGlobalId(
+        sizes,
+        [&](size_t k, size_t i) { return (*per_shard[k])[q].matches[i]; },
+        [&](size_t k, size_t i, uint32_t gid) {
+          out.matches.push_back(gid);
+          if (options.collect_witnesses) {
+            out.witnesses.push_back(
+                std::move((*per_shard[k])[q].witnesses[i]));
+          }
+        });
     // Stats: sizes and counts sum; the parallel phases (translate,
     // prefilter) cost their slowest shard; permission is summed CPU time;
     // total is the scatter-gather wall clock for the whole batch.
@@ -531,108 +520,54 @@ Result<monitor::StreamAppendResult> ShardedDatabase::StreamAppend(
   // Scatter: every shard steps its own contracts through the whole batch.
   std::vector<Result<monitor::StreamAppendResult>> per_shard(
       n, Status::Internal("shard not reached"));
-  auto run_one = [&](size_t k) {
+  CTDB_RETURN_NOT_OK(Scatter(pool_.get(), n, [&](size_t k) {
     per_shard[k] = shards_[k]->StreamAppend(name, events);
-    return Status::OK();  // errors merge below, in shard order
-  };
-  if (pool_ && n > 1) {
-    CTDB_RETURN_NOT_OK(pool_->ParallelFor(0, n, run_one));
-  } else {
-    for (size_t k = 0; k < n; ++k) (void)run_one(k);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    CTDB_RETURN_NOT_OK(AnnotateShard(k, per_shard[k].status()));
-  }
+    return AnnotateShard(k, per_shard[k].status());
+  }));
 
-  // Gather: k-way merge of the verdict deltas by ascending global id;
-  // every shard saw the same events, counters sum.
+  // Gather: every shard saw the same events; counters sum, deltas merge.
   monitor::StreamAppendResult merged;
-  merged.events = (*per_shard[0]).events;
-  size_t total = 0;
-  for (size_t k = 0; k < n; ++k) {
-    merged.stepped += (*per_shard[k]).stepped;
-    merged.pruned += (*per_shard[k]).pruned;
-    total += (*per_shard[k]).deltas.size();
+  merged.events = per_shard[0]->events;
+  std::vector<const std::vector<monitor::VerdictDelta>*> deltas;
+  for (const auto& r : per_shard) {
+    merged.stepped += r->stepped;
+    merged.pruned += r->pruned;
+    deltas.push_back(&r->deltas);
   }
-  merged.deltas.reserve(total);
-  std::vector<size_t> cursor(n, 0);
-  while (merged.deltas.size() < total) {
-    size_t best = n;
-    uint64_t best_id = 0;
-    for (size_t k = 0; k < n; ++k) {
-      const auto& deltas = (*per_shard[k]).deltas;
-      if (cursor[k] >= deltas.size()) continue;
-      const uint64_t gid = GlobalId(k, deltas[cursor[k]].contract_id, n);
-      if (best == n || gid < best_id) {
-        best = k;
-        best_id = gid;
-      }
-    }
-    merged.deltas.push_back({static_cast<uint32_t>(best_id),
-                             (*per_shard[best]).deltas[cursor[best]].verdict});
-    cursor[best] += 1;
-  }
+  merged.deltas = MergeVerdicts(deltas);
   return merged;
 }
 
 Result<monitor::StreamCloseInfo> ShardedDatabase::StreamClose(
     std::string_view name) {
   // No CheckOpen: closing a stream is read-only summary work and stays
-  // legal while the database shuts down.
+  // legal while the database shuts down. Serial: a summary is too cheap to
+  // take the router pool away from concurrent appends.
   const size_t n = shards_.size();
   std::vector<Result<monitor::StreamCloseInfo>> per_shard(
       n, Status::Internal("shard not reached"));
-  for (size_t k = 0; k < n; ++k) {
+  CTDB_RETURN_NOT_OK(Scatter(nullptr, n, [&](size_t k) {
     per_shard[k] = shards_[k]->StreamClose(name);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    CTDB_RETURN_NOT_OK(AnnotateShard(k, per_shard[k].status()));
-  }
+    return AnnotateShard(k, per_shard[k].status());
+  }));
   monitor::StreamCloseInfo info;
-  info.events = (*per_shard[0]).events;
-  size_t total = 0;
-  for (size_t k = 0; k < n; ++k) {
-    info.satisfied += (*per_shard[k]).satisfied;
-    info.violated += (*per_shard[k]).violated;
-    info.undetermined += (*per_shard[k]).undetermined;
-    total += (*per_shard[k]).verdicts.size();
+  info.events = per_shard[0]->events;
+  std::vector<const std::vector<monitor::VerdictDelta>*> verdicts;
+  for (const auto& r : per_shard) {
+    info.satisfied += r->satisfied;
+    info.violated += r->violated;
+    info.undetermined += r->undetermined;
+    verdicts.push_back(&r->verdicts);
   }
-  info.verdicts.reserve(total);
-  std::vector<size_t> cursor(n, 0);
-  while (info.verdicts.size() < total) {
-    size_t best = n;
-    uint64_t best_id = 0;
-    for (size_t k = 0; k < n; ++k) {
-      const auto& verdicts = (*per_shard[k]).verdicts;
-      if (cursor[k] >= verdicts.size()) continue;
-      const uint64_t gid = GlobalId(k, verdicts[cursor[k]].contract_id, n);
-      if (best == n || gid < best_id) {
-        best = k;
-        best_id = gid;
-      }
-    }
-    info.verdicts.push_back(
-        {static_cast<uint32_t>(best_id),
-         (*per_shard[best]).verdicts[cursor[best]].verdict});
-    cursor[best] += 1;
-  }
+  info.verdicts = MergeVerdicts(verdicts);
   return info;
 }
 
 Status ShardedDatabase::Checkpoint() {
   CTDB_RETURN_NOT_OK(CheckOpen());
-  const size_t n = shards_.size();
-  std::vector<Status> status(n, Status::OK());
-  auto one = [&](size_t k) {
-    status[k] = AnnotateShard(k, shards_[k]->Checkpoint());
-    return Status::OK();  // attempt every shard; merge below
-  };
-  if (pool_ && n > 1) {
-    (void)pool_->ParallelFor(0, n, one);
-  } else {
-    for (size_t k = 0; k < n; ++k) (void)one(k);
-  }
-  for (size_t k = 0; k < n; ++k) CTDB_RETURN_NOT_OK(status[k]);
+  CTDB_RETURN_NOT_OK(Scatter(pool_.get(), shards_.size(), [&](size_t k) {
+    return AnnotateShard(k, shards_[k]->Checkpoint());
+  }));
   CTDB_OBS_COUNT("shard.checkpoints", 1);
   return Status::OK();
 }

@@ -62,6 +62,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -224,13 +225,14 @@ class ShardedDatabase : public broker::Broker {
                   std::unique_ptr<util::ThreadPool> pool,
                   ShardedRecoveryStats recovery_stats);
 
-  /// Global id the next registration on shard `k` would get.
-  uint64_t NextGlobalIdOf(size_t k) const {
-    return slots_[k] * shards_.size() + k;
-  }
-  /// Shard owning the lowest next global id (route target). Caller holds
-  /// route_mutex_.
-  size_t RouteShardLocked() const;
+  /// Unregister and Replace's shared route step: runs `op(shard, local id,
+  /// clock)` on the shard owning global `id` at the next global clock, then
+  /// resyncs the clock (even on failure — a WAL-append error still ticked
+  /// the shard). NotFound, from the route table or the shard, names the
+  /// global id; other errors pass through. Caller holds route_mutex_.
+  Result<uint64_t> MutateLocked(
+      uint32_t id, const std::function<Result<uint64_t>(
+                       broker::DurableDatabase*, uint32_t, uint64_t)>& op);
 
   /// Interns every event cited by shard `from`'s contract `local_id` into
   /// all other shards. Caller holds route_mutex_.

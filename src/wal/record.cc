@@ -1,55 +1,27 @@
 #include "wal/record.h"
 
-#include <cstring>
-
-#include "util/crc32c.h"
+#include "util/codec.h"
 
 namespace ctdb::wal {
 
+using util::GetString;
+using util::GetU32;
+using util::GetU64;
+using util::PutString;
+using util::PutU32;
+using util::PutU64;
+
 namespace {
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool GetU32(std::string_view data, size_t* offset, uint32_t* v) {
-  if (data.size() - *offset < 4) return false;
-  const auto* p = reinterpret_cast<const uint8_t*>(data.data() + *offset);
-  *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
-  *offset += 4;
-  return true;
-}
-
-bool GetU64(std::string_view data, size_t* offset, uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  if (!GetU32(data, offset, &lo) || !GetU32(data, offset, &hi)) return false;
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
-  return true;
-}
-
-bool GetString(std::string_view data, size_t* offset, std::string* s) {
-  uint32_t len = 0;
-  if (!GetU32(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  s->assign(data.substr(*offset, len));
-  *offset += len;
-  return true;
+/// A record of `type` with its common header set and an empty body.
+Record Header(RecordType type, uint64_t sequence, uint64_t clock,
+              uint32_t contract_id) {
+  Record r;
+  r.type = type;
+  r.sequence = sequence;
+  r.clock = clock;
+  r.contract_id = contract_id;
+  return r;
 }
 
 }  // namespace
@@ -57,11 +29,7 @@ bool GetString(std::string_view data, size_t* offset, std::string* s) {
 Record Record::Register(uint64_t sequence, uint64_t clock,
                         uint32_t contract_id, std::string name,
                         std::string ltl_text) {
-  Record r;
-  r.type = RecordType::kRegister;
-  r.sequence = sequence;
-  r.clock = clock;
-  r.contract_id = contract_id;
+  Record r = Header(RecordType::kRegister, sequence, clock, contract_id);
   r.name = std::move(name);
   r.ltl_text = std::move(ltl_text);
   return r;
@@ -69,29 +37,18 @@ Record Record::Register(uint64_t sequence, uint64_t clock,
 
 Record Record::Unregister(uint64_t sequence, uint64_t clock,
                           uint32_t contract_id) {
-  Record r;
-  r.type = RecordType::kUnregister;
-  r.sequence = sequence;
-  r.clock = clock;
-  r.contract_id = contract_id;
-  return r;
+  return Header(RecordType::kUnregister, sequence, clock, contract_id);
 }
 
 Record Record::Replace(uint64_t sequence, uint64_t clock, uint32_t contract_id,
                        std::string ltl_text) {
-  Record r;
-  r.type = RecordType::kReplace;
-  r.sequence = sequence;
-  r.clock = clock;
-  r.contract_id = contract_id;
+  Record r = Header(RecordType::kReplace, sequence, clock, contract_id);
   r.ltl_text = std::move(ltl_text);
   return r;
 }
 
 Record Record::Checkpoint(uint64_t sequence, std::string snapshot_path) {
-  Record r;
-  r.type = RecordType::kCheckpoint;
-  r.sequence = sequence;
+  Record r = Header(RecordType::kCheckpoint, sequence, 0, 0);
   r.snapshot_path = std::move(snapshot_path);
   return r;
 }
@@ -169,48 +126,30 @@ Status DecodePayload(std::string_view payload, Record* record) {
 }
 
 std::string EncodeFrame(const Record& record) {
-  const std::string payload = EncodePayload(record);
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, util::Crc32c(payload));
-  out += payload;
-  return out;
+  return util::EncodeFrame(EncodePayload(record));
 }
 
 Status DecodeFrame(std::string_view data, size_t* offset, Record* record) {
   size_t pos = *offset;
-  uint32_t length = 0, crc = 0;
-  if (!GetU32(data, &pos, &length) || !GetU32(data, &pos, &crc)) {
-    return Status::Corruption("frame header truncated");
-  }
-  if (length > kMaxRecordBytes) {
-    return Status::Corruption("frame length " + std::to_string(length) +
-                              " exceeds record size cap");
-  }
-  if (data.size() - pos < length) {
-    return Status::Corruption("frame payload truncated");
-  }
-  const std::string_view payload = data.substr(pos, length);
-  if (util::Crc32c(payload) != crc) {
-    return Status::Corruption("frame CRC mismatch");
+  std::string_view payload;
+  switch (util::ScanFrame(data, &pos, &payload, kMinRecordBytes,
+                          kMaxRecordBytes)) {
+    case util::FrameScan::kNeedMore:
+      return Status::Corruption("frame truncated");
+    case util::FrameScan::kCorrupt:
+      return Status::Corruption("frame length out of bounds or CRC mismatch");
+    case util::FrameScan::kFrame:
+      break;
   }
   CTDB_RETURN_NOT_OK(DecodePayload(payload, record));
-  *offset = pos + length;
+  *offset = pos;
   return Status::OK();
 }
 
 bool FrameLooksValid(std::string_view data, size_t offset) {
-  size_t pos = offset;
-  uint32_t length = 0, crc = 0;
-  if (!GetU32(data, &pos, &length) || !GetU32(data, &pos, &crc)) return false;
-  // The minimum bound matters beyond hygiene: a run of ≥8 zero bytes decodes
-  // as length 0 · crc 0, and CRC32C("") == 0 — without it, any torn tail
-  // containing such a run (easy with u64 header fields) would look like a
-  // valid later frame and misclassify the tear as mid-log corruption.
-  if (length < kMinRecordBytes || length > kMaxRecordBytes) return false;
-  if (data.size() - pos < length) return false;
-  return util::Crc32c(data.substr(pos, length)) == crc;
+  std::string_view payload;
+  return util::ScanFrame(data, &offset, &payload, kMinRecordBytes,
+                         kMaxRecordBytes) == util::FrameScan::kFrame;
 }
 
 }  // namespace ctdb::wal

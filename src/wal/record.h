@@ -1,11 +1,7 @@
 // Write-ahead-log record format: binary, length-prefixed, CRC32C-framed.
 //
-// A frame on disk is
-//
-//   ┌────────────┬───────────┬──────────────────────────────┐
-//   │ length u32 │ crc32c u32│ payload (`length` bytes)     │
-//   └────────────┴───────────┴──────────────────────────────┘
-//     little-endian           crc is over the payload only
+// A frame on disk is the shared length · crc32c · payload frame
+// (util/codec.h), with
 //
 //   payload := type u8 · sequence u64 · clock u64 · contract_id u32 · body
 //   kRegister body   := name_len u32 · name · ltl_len u32 · ltl_text
@@ -34,6 +30,7 @@
 #include <string>
 #include <string_view>
 
+#include "util/codec.h"
 #include "util/result.h"
 
 namespace ctdb::wal {
@@ -74,8 +71,7 @@ struct Record {
   bool operator==(const Record& other) const;
 };
 
-/// Frame header size: length u32 + crc u32.
-inline constexpr size_t kFrameHeaderBytes = 8;
+using util::kFrameHeaderBytes;
 
 /// Lower bound on one payload: the common header (type u8 · sequence u64 ·
 /// clock u64 · contract_id u32) that every record type carries. Anything

@@ -319,8 +319,8 @@ TEST_F(DatabaseTest, FailedRegistrationLeavesSnapshotUntouched) {
   // Validation error: the initial state is out of range.
   automata::Buchi bad_ba;
   bad_ba.SetInitial(5);
-  EXPECT_FALSE(db.RegisterAutomaton("bad", "true", std::move(bad_ba),
-                                    Bitset())
+  EXPECT_FALSE(db.RestoreContract(1, "bad", "true", std::move(bad_ba),
+                                  Bitset(), /*valid_from=*/2)
                    .ok());
 
   // Queries keep observing the exact pre-failure state.

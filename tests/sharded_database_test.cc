@@ -256,22 +256,51 @@ TEST(ShardedDatabaseTest, RegisterBatchStripesAndIsAllOrNothing) {
   }
 }
 
-TEST(ShardedDatabaseTest, EverythingIsUnavailableAfterClose) {
-  TempDir dir("sharded");
-  auto db = ShardedDatabase::Open(dir.path(), FastOptions(), ShardOptions(2));
+/// Opens one of the two Broker implementations ("Durable" or "Sharded"),
+/// for tests that hold both to one contract.
+Result<std::unique_ptr<broker::Broker>> OpenBroker(const std::string& kind,
+                                                   const std::string& dir) {
+  if (kind == "Durable") {
+    CTDB_ASSIGN_OR_RETURN(auto db,
+                          broker::DurableDatabase::Open(dir, FastOptions()));
+    return std::unique_ptr<broker::Broker>(std::move(db));
+  }
+  CTDB_ASSIGN_OR_RETURN(
+      auto db, ShardedDatabase::Open(dir, FastOptions(), ShardOptions(2)));
+  return std::unique_ptr<broker::Broker>(std::move(db));
+}
+
+class BrokerCloseTest : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(Brokers, BrokerCloseTest,
+                         ::testing::Values("Durable", "Sharded"),
+                         [](const auto& info) { return info.param; });
+
+TEST_P(BrokerCloseTest, EverythingIsUnavailableAfterClose) {
+  TempDir dir("broker-close");
+  auto db = OpenBroker(GetParam(), dir.path());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->Register("c", "F p1").ok());
+  ASSERT_TRUE((*db)->StreamOpen("s").ok());
   ASSERT_TRUE((*db)->Close().ok());
   ASSERT_TRUE((*db)->Close().ok());  // idempotent
 
   EXPECT_EQ((*db)->Register("late", "F p1").status().code(),
             StatusCode::kUnavailable);
+  EXPECT_EQ((*db)->RegisterBatch({{"x", "F p1"}}).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ((*db)->Unregister(0).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ((*db)->Replace(0, "G p1").status().code(),
+            StatusCode::kUnavailable);
   EXPECT_EQ((*db)->Query("F p1").status().code(), StatusCode::kUnavailable);
   EXPECT_EQ((*db)->QueryBatch({"F p1"}).status().code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ((*db)->RegisterBatch({{"x", "F p1"}}).status().code(),
+  EXPECT_EQ((*db)->StreamOpen("t").status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ((*db)->StreamAppend("s", {{"p1"}}).status().code(),
             StatusCode::kUnavailable);
   EXPECT_EQ((*db)->Checkpoint().code(), StatusCode::kUnavailable);
+  // Closing a stream stays legal: it only summarizes a pinned snapshot.
+  EXPECT_TRUE((*db)->StreamClose("s").ok());
 }
 
 TEST(ShardedDatabaseTest, RecoveryPreservesParityAndVocabulary) {
