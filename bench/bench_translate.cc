@@ -61,15 +61,21 @@ void BM_LtlToBuchi(benchmark::State& state) {
 BENCHMARK(BM_LtlToBuchi)->Arg(1)->Arg(2)->Arg(3)->Arg(5)->Arg(6)->Arg(7);
 
 // The same formula pool through the translation cache (translate/cache.h):
-// after the first pass over the pool, every iteration costs NNF
-// normalization + canonical-key build + one hash probe instead of the
-// tableau pipeline. The ratio to BM_LtlToBuchi at the same arg is the
-// per-translation cache win.
+// one untimed pass over the pool warms the cache, so every timed iteration
+// costs NNF normalization + canonical-key build + one hash probe instead of
+// the tableau pipeline — even when the benchmark runs fewer iterations than
+// the pool holds. The ratio to BM_LtlToBuchi at the same arg is the
+// per-translation cache win; `hit_rate` counts the timed probes only.
 void BM_LtlToBuchi_Cached(benchmark::State& state) {
   const size_t patterns = static_cast<size_t>(state.range(0));
   ltl::FormulaFactory* factory = nullptr;
   const auto& formulas = FormulaPool(patterns, &factory);
   translate::TranslationCache cache(256);
+  for (const ltl::Formula* formula : formulas) {
+    benchmark::DoNotOptimize(
+        translate::LtlToBuchiCached(formula, factory, &cache));
+  }
+  const translate::TranslationCacheStats warm = cache.Stats();
   size_t i = 0;
   for (auto _ : state) {
     auto ba = translate::LtlToBuchiCached(formulas[i % formulas.size()],
@@ -78,9 +84,10 @@ void BM_LtlToBuchi_Cached(benchmark::State& state) {
     ++i;
   }
   const translate::TranslationCacheStats stats = cache.Stats();
-  const double probes = static_cast<double>(stats.hits + stats.misses);
+  const uint64_t hits = stats.hits - warm.hits;
+  const double probes = static_cast<double>(hits + stats.misses - warm.misses);
   state.counters["hit_rate"] =
-      probes > 0 ? static_cast<double>(stats.hits) / probes : 0.0;
+      probes > 0 ? static_cast<double>(hits) / probes : 0.0;
 }
 BENCHMARK(BM_LtlToBuchi_Cached)->Arg(1)->Arg(3)->Arg(5);
 

@@ -36,11 +36,6 @@ ContractDatabase::ContractDatabase(const DatabaseOptions& options)
   Publish();  // the empty snapshot, so Snapshot() is never null
 }
 
-size_t ContractDatabase::ResolveThreads(size_t requested) const {
-  const size_t threads = requested == 0 ? options_.threads : requested;
-  return threads == 0 ? 1 : threads;
-}
-
 util::ThreadPool* ContractDatabase::EnsurePool(size_t threads) const {
   if (threads <= 1) return nullptr;
   // The calling thread participates in ParallelFor, so `threads`-way
@@ -343,9 +338,8 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
   // BuildContract shares no mutable state between calls.
   std::vector<Result<std::shared_ptr<const Contract>>> built(
       entries.size(), Status::Internal("contract not built"));
-  const size_t workers = std::max<size_t>(
-      1, std::min(ResolveThreads(threads),
-                  entries.size() == 0 ? 1 : entries.size()));
+  const size_t workers = std::min(ResolveThreads(threads, options_),
+                                  std::max<size_t>(entries.size(), 1));
   // With a single worker the batch itself is serial, but each contract's
   // projection precompute can still use the shared executor.
   util::ThreadPool* precompute_pool =
@@ -393,24 +387,21 @@ Result<EventId> ContractDatabase::InternEvent(std::string_view name) {
 
 Result<QueryResult> ContractDatabase::Query(std::string_view ltl_text,
                                             const QueryOptions& options) const {
-  const std::shared_ptr<const DatabaseSnapshot> snapshot = Snapshot();
-  return snapshot->Query(ltl_text, options,
-                         EnsurePool(ResolveThreads(options.threads)));
+  return Snapshot()->Query(
+      ltl_text, options, EnsurePool(ResolveThreads(options.threads, options_)));
 }
 
 Result<QueryResult> ContractDatabase::QueryFormula(
     const ltl::Formula* query, const QueryOptions& options) const {
-  const std::shared_ptr<const DatabaseSnapshot> snapshot = Snapshot();
-  return snapshot->QueryFormula(query, options,
-                                EnsurePool(ResolveThreads(options.threads)));
+  return Snapshot()->QueryFormula(
+      query, options, EnsurePool(ResolveThreads(options.threads, options_)));
 }
 
 Result<std::vector<QueryResult>> ContractDatabase::QueryBatch(
     const std::vector<std::string>& queries,
     const QueryOptions& options) const {
-  const std::shared_ptr<const DatabaseSnapshot> snapshot = Snapshot();
-  return snapshot->QueryBatch(queries, options,
-                              EnsurePool(ResolveThreads(options.threads)));
+  return Snapshot()->QueryBatch(
+      queries, options, EnsurePool(ResolveThreads(options.threads, options_)));
 }
 
 obs::MetricsSnapshot ContractDatabase::MetricsSnapshot() const {

@@ -162,11 +162,13 @@ class ContractDatabase {
     return snapshot_;
   }
 
-  /// Evaluates an LTL query against the current snapshot. Queries must cite
-  /// only registered events (unknown events cannot be permitted by any
-  /// contract — they are an error, to catch typos early). Safe to call
-  /// concurrently with registrations and other queries; parses and
-  /// translates with a call-local formula factory, never this database's.
+  /// Evaluates an LTL query against the current snapshot — a QueryBatch of
+  /// one, so single, batched, live and as-of queries share one engine
+  /// (DatabaseSnapshot::QueryBatch). Queries must cite only registered
+  /// events (unknown events cannot be permitted by any contract — they are
+  /// an error, to catch typos early). Safe to call concurrently with
+  /// registrations and other queries; parses and translates with a
+  /// call-local formula factory, never this database's.
   Result<QueryResult> Query(std::string_view ltl_text,
                             const QueryOptions& options = {}) const;
 
@@ -177,7 +179,8 @@ class ContractDatabase {
                                    const QueryOptions& options = {}) const;
 
   /// Evaluates many LTL queries in one call against the current snapshot —
-  /// one consistent state for the whole batch. See
+  /// one consistent state, and one resolved `as_of` clock, for the whole
+  /// batch. Live and as-of batches parallelize alike. See
   /// DatabaseSnapshot::QueryBatch for the batching contract and stats
   /// semantics.
   Result<std::vector<QueryResult>> QueryBatch(
@@ -309,9 +312,6 @@ class ContractDatabase {
   /// plus one vocabulary copy when events were interned since the last
   /// publication.
   void Publish();
-
-  /// Resolves a per-call thread count (0 = inherit the database default).
-  size_t ResolveThreads(size_t requested) const;
 
   /// Returns the shared executor with at least `threads - 1` workers (the
   /// calling thread participates in ParallelFor, so `threads`-way

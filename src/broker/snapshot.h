@@ -42,7 +42,6 @@
 #include "translate/cache.h"
 #include "translate/ltl_to_ba.h"
 #include "util/result.h"
-#include "util/timer.h"
 
 namespace ctdb::util {
 class ThreadPool;
@@ -125,15 +124,29 @@ struct QueryOptions {
   index::PruningOptions pruning;
 
   /// Time travel: answer against the contract set as of this system clock
-  /// (DESIGN.md §14) instead of the live set. 0 (the default) means
-  /// "latest"; clock 0 itself is never assigned to a mutation, so the
-  /// sentinel is unambiguous. A value at or above the snapshot's clock is
-  /// clamped to "latest"; a value below the retention floor is
-  /// InvalidArgument (history there has been discarded, an exact answer is
-  /// impossible). Historical evaluation scans every visible version — the
+  /// (DESIGN.md §14) instead of the live set, resolved by
+  /// DatabaseSnapshot::ResolveAsOf. 0 (the default) means "latest"; clock 0
+  /// itself is never assigned to a mutation, so the sentinel is
+  /// unambiguous. Historical evaluation checks every visible version — the
   /// prefilter indexes only live contracts — so exactness, not speed, is
   /// the contract here.
   uint64_t as_of = 0;
+};
+
+/// The thread count a per-call request resolves to: 0 inherits
+/// `options.threads`, and the result is never below 1.
+size_t ResolveThreads(size_t requested, const DatabaseOptions& options);
+
+/// What an `as_of` clock resolves to against one snapshot
+/// (DatabaseSnapshot::ResolveAsOf).
+struct AsOfView {
+  uint64_t clock = 0;  ///< the effective clock
+  /// True when `clock` is the snapshot's own, so `contracts` is the live
+  /// set — the one the prefilter indexes.
+  bool latest = true;
+  /// The contract versions visible at `clock`, one per id, sorted by id.
+  /// Pointers stay valid for the snapshot's lifetime.
+  std::vector<const Contract*> contracts;
 };
 
 /// A query's outcome.
@@ -156,9 +169,10 @@ class DatabaseSnapshot {
  public:
   DatabaseSnapshot() = default;
 
-  /// Evaluates an LTL query against this snapshot. Queries must cite only
-  /// events known to the snapshot (unknown events cannot be permitted by any
-  /// contract — they are an error, to catch typos early).
+  /// Evaluates an LTL query against this snapshot: a QueryBatch of one.
+  /// Queries must cite only events known to the snapshot (unknown events
+  /// cannot be permitted by any contract — they are an error, to catch
+  /// typos early).
   ///
   /// `pool` is an optional executor for the parallel permission phase; with
   /// nullptr (or an effective thread count of 1) evaluation is single
@@ -168,33 +182,39 @@ class DatabaseSnapshot {
                             const QueryOptions& options = {},
                             util::ThreadPool* pool = nullptr) const;
 
-  /// Evaluates a pre-parsed query formula. The formula may come from any
-  /// factory (it is rebuilt into a local one before translation).
+  /// Evaluates a pre-parsed query formula, as a batch of one. The formula
+  /// may come from any factory (it is rebuilt into a local one before
+  /// translation).
   Result<QueryResult> QueryFormula(const ltl::Formula* query,
                                    const QueryOptions& options = {},
                                    util::ThreadPool* pool = nullptr) const;
 
-  /// \brief Evaluates many LTL queries in one call.
+  /// \brief Evaluates many LTL queries in one call — the one query engine
+  /// behind Query and QueryFormula too.
   ///
-  /// Returns one QueryResult per query, each identical (matches and
-  /// witnesses) to what Query would return for that text. Batching amortizes
-  /// executor dispatch across the whole batch and shares each contract's
-  /// lazy quotient cache across all queries: with `threads` > 1 the
-  /// translate/prefilter phase parallelizes across queries (each worker
-  /// parses into a thread-local factory) and the permission phase shards the
-  /// (query, candidate) pairs *by contract id*, so every contract — and thus
-  /// its quotient cache — is touched by exactly one worker while being
-  /// reused across all queries that prefilter to it. On any parse error, no
-  /// query is evaluated.
+  /// Every query is parsed once, then `options.as_of` is resolved once for
+  /// the whole batch (ResolveAsOf) and each query is planned: translate,
+  /// then its candidates — the prefilter condition's hits among the live
+  /// set, or every contract of the resolved set when the prefilter is off
+  /// or the clock is historical. Returns one QueryResult per query, each
+  /// identical (matches and witnesses) to what Query would return for that
+  /// text. On any parse error, no query is evaluated.
   ///
-  /// Per-query stats are filled as in Query, except that in parallel mode
-  /// `permission_ms` is the CPU time spent on that query's checks (summed
-  /// across shards) and `total_ms` the sum of the per-phase times. In both
-  /// modes the invariant `total_ms >= translate_ms + prefilter_ms` holds:
-  /// serial total is the wall clock enclosing all three phases, parallel
-  /// total is exactly translate + prefilter + the summed permission CPU time
-  /// (so it can exceed the batch's wall clock, but never undercuts the two
-  /// serial phases). Guarded by a regression test in query_batch_test.
+  /// With one effective thread every query is checked serially right after
+  /// its plan. With more, the queries are planned across workers, then the
+  /// permission checks of the whole batch run in one parallel phase that
+  /// shards the (query, candidate) pairs *by contract id*, so every
+  /// contract — and thus its lazy quotient cache — is touched by exactly
+  /// one worker while being reused across all queries that plan to it; the
+  /// shards' matches are merged back in id order.
+  ///
+  /// Stats: in serial mode `permission_ms` is the check phase's wall clock
+  /// and `total_ms` the wall clock enclosing all three phases. In parallel
+  /// mode `permission_ms` is the CPU time spent on that query's checks
+  /// (summed across shards) and `total_ms` is exactly translate + prefilter
+  /// + that CPU time (so it can exceed the batch's wall clock, but never
+  /// undercuts the two serial phases). Either way `total_ms >= translate_ms
+  /// + prefilter_ms`; guarded by a regression test in query_batch_test.
   Result<std::vector<QueryResult>> QueryBatch(
       const std::vector<std::string>& queries, const QueryOptions& options = {},
       util::ThreadPool* pool = nullptr) const;
@@ -240,12 +260,16 @@ class DatabaseSnapshot {
   const index::PrefilterIndex& prefilter() const { return prefilter_; }
   const DatabaseOptions& options() const { return options_; }
 
-  /// The contract versions visible as-of clock `seq`: live contracts with
-  /// valid_from <= seq plus history versions whose period covers seq. One
-  /// version per contract id, sorted by id. Pointers stay valid for the
-  /// snapshot's lifetime. Callers owning exactness (time-travel queries,
-  /// stream sessions) must check `seq` against history().floor() first.
-  std::vector<const Contract*> VisibleAt(uint64_t seq) const;
+  /// \brief The one `as_of` policy (DESIGN.md §14), shared by the query
+  /// engine and stream pins (monitor::StreamSession::Open).
+  ///
+  /// 0, or a clock at or past sequence(), resolves to the live set at
+  /// sequence() — nothing changed since. A clock below history().floor() is
+  /// InvalidArgument: history there has been discarded, so no exact answer
+  /// exists. Any other clock resolves to the versions visible at it: live
+  /// contracts with valid_from <= clock plus history versions whose period
+  /// covers it.
+  Result<AsOfView> ResolveAsOf(uint64_t as_of) const;
 
   /// Aggregate footprint of the auxiliary structures (§7.4).
   size_t PrefilterMemoryUsage() const {
@@ -257,30 +281,27 @@ class DatabaseSnapshot {
  private:
   friend class ContractDatabase;  ///< the only producer of non-empty snapshots
 
-  /// Resolves a per-call thread count (0 = inherit the database default);
-  /// clamped to 1 when `pool` is null.
-  size_t ResolveThreads(size_t requested, const util::ThreadPool* pool) const;
+  struct Plan;    ///< one query's automaton and candidates
+  struct Checks;  ///< one query's checks within one contract-id shard
 
-  /// The query engine shared by Query/QueryFormula/QueryBatch-serial:
-  /// translate (into `factory`) → prefilter → permission checks.
-  Result<QueryResult> RunQuery(const ltl::Formula* query,
-                               ltl::FormulaFactory* factory,
-                               const QueryOptions& options,
-                               util::ThreadPool* pool) const;
+  /// The query engine (see QueryBatch): resolve → plan → check → merge for
+  /// formulas parsed into `factory`.
+  Result<std::vector<QueryResult>> Evaluate(
+      const std::vector<const ltl::Formula*>& queries,
+      ltl::FormulaFactory* factory, const QueryOptions& options,
+      util::ThreadPool* pool) const;
 
-  /// Runs one permission check; appends to the given output buffers.
-  void CheckCandidate(const Contract& contract,
-                      const automata::Buchi& query_ba,
-                      const Bitset& query_events, const QueryOptions& options,
-                      std::vector<uint32_t>* matches,
-                      std::vector<LassoWord>* witnesses,
-                      core::PermissionStats* stats) const;
+  /// Translates `query` (into `factory`, through the translation cache) and
+  /// selects its candidates from `view`; fills the plan-phase stats (adding
+  /// to prefilter_ms).
+  Status PlanQuery(const ltl::Formula* query, ltl::FormulaFactory* factory,
+                   const AsOfView& view, const QueryOptions& options,
+                   Plan* plan, QueryStats* stats) const;
 
-  /// The historical-query engine behind RunQuery when options.as_of names a
-  /// clock before this snapshot's: full scan over VisibleAt(as_of).
-  Result<QueryResult> RunQueryAsOf(const automata::Buchi& query_ba,
-                                   const QueryOptions& options,
-                                   QueryResult result, Timer* total) const;
+  /// Permission-checks the candidates of `plan` whose id ≡ `shard` (mod
+  /// `shards`).
+  void CheckShard(const Plan& plan, const QueryOptions& options, size_t shard,
+                  size_t shards, Checks* out) const;
 
   DatabaseOptions options_;
   std::shared_ptr<const Vocabulary> vocab_ = std::make_shared<Vocabulary>();

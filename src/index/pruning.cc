@@ -1,5 +1,6 @@
 #include "index/pruning.h"
 
+#include <optional>
 #include <vector>
 
 #include "automata/ops.h"
@@ -211,8 +212,17 @@ Condition ExtractPruningCondition(const Buchi& query,
   const Bitset reachable = automata::ReachableStates(query);
   const SccInfo scc = automata::ComputeScc(query);
 
-  CondensationPaths condensation(query, scc, options);
-  StatePaths state_paths(query, options);
+  // Only the selected path mode's memo is built: StatePaths pays for the
+  // query's reverse adjacency, which the default mode never reads.
+  const bool state_mode =
+      options.path_mode == PathConditionMode::kMemoizedStatePaths;
+  std::optional<CondensationPaths> condensation;
+  std::optional<StatePaths> state_paths;
+  if (state_mode) {
+    state_paths.emplace(query, options);
+  } else {
+    condensation.emplace(query, scc, options);
+  }
 
   // Per state: incoming transitions from inside its SCC.
   std::vector<std::vector<const Label*>> in_scc_incoming(query.StateCount());
@@ -241,9 +251,7 @@ Condition ExtractPruningCondition(const Buchi& query,
     }
 
     const Condition& path =
-        options.path_mode == PathConditionMode::kMemoizedStatePaths
-            ? state_paths.For(t)
-            : condensation.For(comp);
+        state_mode ? state_paths->For(t) : condensation->For(comp);
 
     Condition lasso = Condition::And({std::move(cycle), path});
     if (lasso.Size() > options.max_condition_size) lasso = Condition::True();

@@ -55,7 +55,7 @@ Result<const Formula*> Parse(std::string_view text, FormulaFactory* factory,
 /// Like Parse above but never interns: `require_known_events` is implied
 /// (unknown identifiers are a NotFound error), so `vocab` may be shared with
 /// concurrent readers — this is the overload the snapshot-isolated query
-/// path uses with a thread-local factory.
+/// path uses with a call-local factory.
 Result<const Formula*> Parse(std::string_view text, FormulaFactory* factory,
                              const Vocabulary& vocab,
                              const ParseOptions& options = {});

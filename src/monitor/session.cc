@@ -7,28 +7,12 @@ namespace ctdb::monitor {
 Result<std::unique_ptr<StreamSession>> StreamSession::Open(
     std::shared_ptr<const broker::DatabaseSnapshot> snapshot,
     const StreamOptions& options) {
-  uint64_t clock = options.as_of;
-  std::vector<const broker::Contract*> contracts;
-  if (clock == 0 || clock >= snapshot->sequence()) {
-    // Latest (a clock at or past the snapshot's is clamped, mirroring
-    // QueryOptions::as_of).
-    clock = snapshot->sequence();
-    for (uint32_t id = 0; id < snapshot->slot_count(); ++id) {
-      if (const broker::Contract* c = snapshot->contract_or_null(id)) {
-        contracts.push_back(c);
-      }
-    }
-  } else {
-    if (clock < snapshot->history().floor()) {
-      return Status::InvalidArgument(
-          "stream as_of " + std::to_string(clock) +
-          " is below the history retention floor " +
-          std::to_string(snapshot->history().floor()));
-    }
-    contracts = snapshot->VisibleAt(clock);
-  }
-  return std::unique_ptr<StreamSession>(new StreamSession(
-      std::move(snapshot), options, clock, std::move(contracts)));
+  // The same as_of policy as queries: one resolver (DESIGN.md §14).
+  CTDB_ASSIGN_OR_RETURN(broker::AsOfView view,
+                        snapshot->ResolveAsOf(options.as_of));
+  return std::unique_ptr<StreamSession>(
+      new StreamSession(std::move(snapshot), options, view.clock,
+                        std::move(view.contracts)));
 }
 
 StreamSession::StreamSession(

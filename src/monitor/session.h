@@ -3,8 +3,9 @@
 //
 // Snapshot isolation. Opening a session captures a DatabaseSnapshot and a
 // system-period clock: `as_of` = 0 pins the latest state at open, any other
-// value pins the historical contract set visible at that clock (the same
-// VisibleAt axis as time-travel queries, DESIGN.md §14). Contracts
+// value pins the historical contract set visible at that clock (resolved by
+// the same DatabaseSnapshot::ResolveAsOf as time-travel queries, DESIGN.md
+// §14). Contracts
 // registered, replaced or unregistered after the pin are invisible to the
 // session for its whole lifetime — the shared_ptr'd snapshot keeps every
 // pinned version (history included) alive.
@@ -35,9 +36,9 @@ namespace ctdb::monitor {
 /// internal mutex; different sessions are fully independent.
 class StreamSession {
  public:
-  /// Pins `snapshot` at `options.as_of` (0 = the snapshot's latest clock)
-  /// and builds a stepper per visible contract version. InvalidArgument
-  /// when `as_of` is below the snapshot's history retention floor.
+  /// Pins `snapshot` at `options.as_of`, resolved exactly as queries
+  /// resolve it (DatabaseSnapshot::ResolveAsOf, InvalidArgument included),
+  /// and builds a stepper per contract version of the resolved set.
   static Result<std::unique_ptr<StreamSession>> Open(
       std::shared_ptr<const broker::DatabaseSnapshot> snapshot,
       const StreamOptions& options);

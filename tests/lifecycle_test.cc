@@ -196,7 +196,18 @@ TEST(LifecycleTest, CheckpointRetentionRaisesTheAsOfFloor) {
   ASSERT_TRUE((*db)->Replace(0, "F pay").ok());      // clock 3
   ASSERT_TRUE((*db)->Checkpoint().ok());             // prunes below 3 - 1
 
+  // Below the floor every read surface refuses alike: the one as-of
+  // resolver answers for single queries, parallel batches and stream pins.
   EXPECT_TRUE((*db)->QueryAsOf(1, "F pay").status().IsInvalidArgument());
+  QueryOptions below;
+  below.as_of = 1;
+  below.threads = 4;
+  EXPECT_TRUE((*db)->QueryBatch({"F pay", "G !pay"}, below)
+                  .status()
+                  .IsInvalidArgument());
+  monitor::StreamOptions pin;
+  pin.as_of = 1;
+  EXPECT_TRUE((*db)->StreamOpen("audit", pin).status().IsInvalidArgument());
   auto kept = (*db)->QueryAsOf(2, "G !pay");
   ASSERT_TRUE(kept.ok()) << kept.status().ToString();
   EXPECT_EQ(kept->matches, (std::vector<uint32_t>{0}));

@@ -195,6 +195,27 @@ TEST(StreamSessionTest, AsOfPinsContractVisibility) {
   auto fresh = (*db)->StreamOpen("fresh");
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->tracked, 1u);
+
+  // At every clock a pin tracks exactly the contracts an as-of query scans:
+  // `true` is permitted by every satisfiable contract, so its matches are
+  // the scanned ids.
+  ASSERT_TRUE((*db)->Replace(1, "F breach").ok());
+  for (uint64_t clock = 1; clock <= (*db)->last_sequence(); ++clock) {
+    auto scanned = (*db)->QueryAsOf(clock, "true");
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    StreamOptions pin;
+    pin.as_of = clock;
+    auto opened = (*db)->StreamOpen("probe", pin);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->tracked, scanned->stats.candidates) << clock;
+    auto summary = (*db)->StreamClose("probe");
+    ASSERT_TRUE(summary.ok());
+    std::vector<uint32_t> tracked;
+    for (const VerdictDelta& v : summary->verdicts) {
+      tracked.push_back(v.contract_id);
+    }
+    EXPECT_EQ(tracked, scanned->matches) << "clock " << clock;
+  }
 }
 
 TEST(StreamSessionTest, AsOfBelowRetentionFloorIsInvalidArgument) {

@@ -94,18 +94,44 @@ TEST_F(QueryBatchTest, BatchSerialMatchesQuerySerial) {
 }
 
 TEST_F(QueryBatchTest, BatchParallelMatchesQuerySerial) {
-  const std::vector<QueryResult> serial = SerialResults({});
-  for (size_t threads : {2u, 4u, 7u}) {
-    QueryOptions options;
-    options.threads = threads;
-    auto batch = workload_.db->QueryBatch(workload_.queries, options);
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    ASSERT_EQ(batch->size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ((*batch)[i].matches, serial[i].matches)
-          << workload_.queries[i] << " threads=" << threads;
-      EXPECT_TRUE(std::is_sorted((*batch)[i].matches.begin(),
-                                 (*batch)[i].matches.end()));
+  // Churn the generated contracts first so historical clocks resolve
+  // through the history store and the live id space has holes: replace
+  // every third contract, then retire every fourth.
+  ContractDatabase& db = *workload_.db;
+  const uint64_t registered = db.last_sequence();
+  for (uint32_t id = 0; id < db.slot_count(); id += 3) {
+    const std::string& text =
+        workload_.queries[id % workload_.queries.size()];
+    ASSERT_TRUE(db.Replace(id, text).ok()) << text;
+  }
+  const uint64_t replaced = db.last_sequence();
+  for (uint32_t id = 1; id < db.slot_count(); id += 4) {
+    ASSERT_TRUE(db.Unregister(id).ok());
+  }
+
+  // Live and as-of batches parallelize alike and must equal per-query
+  // serial answers (Broker::QueryAsOf is a Query with options.as_of set).
+  for (const uint64_t as_of :
+       {uint64_t{0}, uint64_t{1}, registered / 2, registered, replaced - 1,
+        replaced, db.last_sequence() - 1}) {
+    QueryOptions base;
+    base.as_of = as_of;
+    const std::vector<QueryResult> serial = SerialResults(base);
+    for (size_t threads : {2u, 4u, 7u}) {
+      QueryOptions options = base;
+      options.threads = threads;
+      auto batch = db.QueryBatch(workload_.queries, options);
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      ASSERT_EQ(batch->size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        const QueryResult& got = (*batch)[i];
+        EXPECT_EQ(got.matches, serial[i].matches)
+            << workload_.queries[i] << " as_of=" << as_of
+            << " threads=" << threads;
+        EXPECT_TRUE(std::is_sorted(got.matches.begin(), got.matches.end()));
+        EXPECT_EQ(got.stats.database_size, serial[i].stats.database_size);
+        EXPECT_EQ(got.stats.candidates, serial[i].stats.candidates);
+      }
     }
   }
 }
