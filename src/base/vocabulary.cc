@@ -41,6 +41,13 @@ Result<EventId> Vocabulary::Intern(std::string_view name) {
   return id;
 }
 
+void Vocabulary::Truncate(size_t size) {
+  while (names_.size() > size) {
+    index_.erase(names_.back());
+    names_.pop_back();
+  }
+}
+
 Result<EventId> Vocabulary::Find(std::string_view name) const {
   auto it = index_.find(std::string(name));
   if (it == index_.end()) {

@@ -24,7 +24,8 @@ using EventId = uint32_t;
 ///
 /// The vocabulary is append-only: events can be added at any time (the paper's
 /// requirement iii — publishing a contract citing a new event must not force
-/// revising existing contracts), never removed or renamed.
+/// revising existing contracts), never removed or renamed once observable
+/// (Truncate only undoes a writer's own unpublished interning).
 class Vocabulary {
  public:
   Vocabulary() = default;
@@ -51,6 +52,11 @@ class Vocabulary {
 
   /// All names, in id order.
   const std::vector<std::string>& names() const { return names_; }
+
+  /// Drops every event with id >= `size`: a writer undoing its own interning
+  /// before anyone could observe it (a failed registration must not leave
+  /// its events behind). Published copies are unaffected.
+  void Truncate(size_t size);
 
   /// Validates that `name` is a legal event identifier.
   static Status ValidateName(std::string_view name);

@@ -1,6 +1,7 @@
 #include "broker/database.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "core/compatibility.h"
@@ -9,24 +10,6 @@
 #include "util/timer.h"
 
 namespace ctdb::broker {
-
-namespace {
-
-/// Register and Replace want timings flushed into the metrics registry even
-/// when the caller passed no stats sink: route stats to `fallback` in that
-/// case (when the registry is enabled). The fallback struct is flushed like
-/// any caller-provided one.
-RegistrationStats* StatsOrObsFallback(RegistrationStats* stats,
-                                      RegistrationStats* fallback) {
-#if CTDB_OBS
-  if (stats == nullptr && obs::Enabled()) return fallback;
-#else
-  (void)fallback;
-#endif
-  return stats;
-}
-
-}  // namespace
 
 ContractDatabase::ContractDatabase(const DatabaseOptions& options)
     : options_(options),
@@ -70,32 +53,9 @@ void ContractDatabase::Publish() {
   snapshot_ = std::move(snapshot);
 }
 
-Status ContractDatabase::CheckLiveLocked(uint32_t id) const {
-  if (id >= contracts_.size() || contracts_[id] == nullptr) {
-    return Status::NotFound("contract " + std::to_string(id) +
-                            " is not live");
-  }
-  return Status::OK();
-}
-
-Result<uint64_t> ContractDatabase::ResolveClockLocked(uint64_t clock) const {
-  if (clock == 0) return clock_ + 1;
-  if (clock <= clock_) {
-    return Status::InvalidArgument(
-        "clock " + std::to_string(clock) + " does not advance the system "
-        "clock " + std::to_string(clock_));
-  }
-  return clock;
-}
-
-Status ContractDatabase::InternEventsLocked(std::string_view ltl_text) {
-  ltl::FormulaFactory scratch;
-  return ltl::Parse(ltl_text, &scratch, &vocab_).status();
-}
-
 Result<std::shared_ptr<const Contract>> ContractDatabase::BuildContract(
-    ContractDraft draft, util::ThreadPool* pool, RegistrationStats* stats,
-    bool install) {
+    ContractDraft draft, util::ThreadPool* pool,
+    RegistrationStats* stats) const {
   if (!draft.ba.has_value()) {
     // A fresh factory per contract: the tableau orders formula sets by
     // factory node id, so translating in a factory shared with earlier
@@ -110,8 +70,6 @@ Result<std::shared_ptr<const Contract>> ContractDatabase::BuildContract(
     if (stats != nullptr) stats->translate_ms = timer.ElapsedMillis();
   }
   CTDB_OBS_SPAN(span, "register.automaton");
-  // Validation failures return before any master state is touched, so the
-  // published snapshot is untouched too.
   CTDB_RETURN_NOT_OK(draft.ba->Validate());
   auto contract = std::make_shared<Contract>();
   contract->id = draft.id;
@@ -139,7 +97,6 @@ Result<std::shared_ptr<const Contract>> ContractDatabase::BuildContract(
     contract->projections =
         projection::ContractProjections::WrapOnly(std::move(*draft.ba));
   }
-  if (install) InstallLocked(contract, stats);
   return std::shared_ptr<const Contract>(std::move(contract));
 }
 
@@ -164,91 +121,207 @@ void ContractDatabase::InstallLocked(std::shared_ptr<const Contract> contract,
   live_.Set(id);
 }
 
-Result<uint64_t> ContractDatabase::PutVersionLocked(uint32_t id,
-                                                    std::string name,
-                                                    std::string ltl_text,
-                                                    RegistrationStats* stats,
-                                                    uint64_t clock) {
-  RegistrationStats obs_stats;
-  stats = StatsOrObsFallback(stats, &obs_stats);
-  CTDB_RETURN_NOT_OK(InternEventsLocked(ltl_text));
-  CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
-  // Installing swaps a superseded version out of the slot and the prefilter;
-  // a parse or translation failure returns before that, leaving it live and
-  // unobserved.
-  std::shared_ptr<const Contract> old =
-      id < contracts_.size() ? contracts_[id] : nullptr;
-  CTDB_RETURN_NOT_OK(
-      BuildContract({id, at, std::move(name), std::move(ltl_text), {}, {}},
-                    EnsurePool(options_.threads), stats, /*install=*/true)
-          .status());
-  if (stats != nullptr) RecordRegistrationStats(*stats);
-  if (old != nullptr) {
-    history_ = history_->Append(ContractVersion{old, old->valid_from, at});
+Status ContractDatabase::Apply(std::vector<wal::Record>* records,
+                               size_t threads, RegistrationStats* stats,
+                               size_t* failed_record) {
+  using wal::RecordType;
+  std::vector<wal::Record>& batch = *records;
+  if (batch.empty()) return Status::OK();
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  CTDB_OBS_SPAN(span, batch.size() == 1 ? wal::RecordTypeName(batch[0].type)
+                                        : "apply");
+  const size_t vocab_mark = vocab_.size();
+  auto fail = [&](size_t i, Status status) {
+    if (status.ok()) return status;
+    vocab_.Truncate(vocab_mark);  // a failed batch interns nothing
+    if (failed_record != nullptr) *failed_record = i;
+    return status;
+  };
+
+  // Phase 1 (serial): validate the whole batch against the master state as
+  // the batch's earlier records leave it. `overlay` holds the ids this
+  // batch touched: the name of the version it made live, or nullptr once
+  // unregistered.
+  std::vector<ContractDraft> drafts(batch.size());
+  std::unordered_map<uint32_t, const std::string*> overlay;
+  uint64_t clock = clock_;
+  auto slots = static_cast<uint32_t>(contracts_.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const wal::Record& record = batch[i];
+    ContractDraft& draft = drafts[i];
+    if (!wal::IsMutationType(record.type)) {
+      return fail(i, Status::InvalidArgument("not a mutation record"));
+    }
+    if (record.clock != 0 && record.clock <= clock) {
+      return fail(i, Status::InvalidArgument(
+                         "clock " + std::to_string(record.clock) +
+                         " does not advance the system clock " +
+                         std::to_string(clock)));
+    }
+    clock = record.clock == 0 ? clock + 1 : record.clock;
+    draft.valid_from = clock;
+    if (record.type == RecordType::kRegister) {
+      draft.id = slots++;
+      draft.name = record.name;
+    } else {
+      draft.id = record.contract_id;
+      const auto it = overlay.find(draft.id);
+      const std::string* name =
+          it != overlay.end() ? it->second
+          : draft.id < contracts_.size() && contracts_[draft.id] != nullptr
+              ? &contracts_[draft.id]->name
+              : nullptr;
+      if (name == nullptr) {
+        return fail(i, Status::NotFound("contract " + std::to_string(draft.id) +
+                                        " is not live"));
+      }
+      if (record.type == RecordType::kReplace) draft.name = *name;
+    }
+    overlay[draft.id] =
+        record.type == RecordType::kUnregister ? nullptr : &draft.name;
   }
-  ops_ += 1;
-  clock_ = at;
+
+  // Phase 2 (serial): intern every event with its final id, so the builders
+  // below parse read-only against a vocabulary stable under writer_mutex_.
+  std::vector<size_t> puts;  // the Register/Replace records, in order
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].type == RecordType::kUnregister) continue;
+    ltl::FormulaFactory scratch;
+    CTDB_RETURN_NOT_OK(
+        fail(i, ltl::Parse(batch[i].ltl_text, &scratch, &vocab_).status()));
+    drafts[i].ltl_text = batch[i].ltl_text;
+    puts.push_back(i);
+  }
+
+  // Phase 3 (parallel): build every contract with its final id and clock.
+  // BuildContract shares no mutable state between calls.
+  std::vector<Result<std::shared_ptr<const Contract>>> built(
+      batch.size(), Status::Internal("contract not built"));
+  std::vector<RegistrationStats> built_stats(batch.size());
+  const size_t workers = std::min(ResolveThreads(threads, options_),
+                                  std::max<size_t>(puts.size(), 1));
+  // With a single worker the batch itself is serial, but each contract's
+  // projection precompute can still use the shared executor.
+  util::ThreadPool* precompute_pool =
+      workers <= 1 ? EnsurePool(options_.threads) : nullptr;
+  auto build_range = [&](size_t start, size_t stride) {
+    for (size_t p = start; p < puts.size(); p += stride) {
+      const size_t i = puts[p];
+      built[i] = BuildContract(std::move(drafts[i]), precompute_pool,
+                               &built_stats[i]);
+    }
+  };
+  if (workers <= 1) {
+    build_range(0, 1);
+  } else {
+    CTDB_RETURN_NOT_OK(fail(0, EnsurePool(workers)->ParallelFor(
+                                   0, workers, [&](size_t t) -> Status {
+                                     build_range(t, workers);
+                                     return Status::OK();
+                                   })));
+  }
+  for (size_t i : puts) CTDB_RETURN_NOT_OK(fail(i, built[i].status()));
+
+  // Phase 4 (serial, cannot fail): install in record order, retire
+  // superseded versions, write back, and publish once — queries observe the
+  // whole batch or none of it.
+  std::vector<ContractVersion> retired;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    wal::Record& record = batch[i];
+    const uint32_t id = record.type == RecordType::kRegister
+                            ? static_cast<uint32_t>(contracts_.size())
+                            : record.contract_id;
+    const uint64_t at = record.clock == 0 ? clock_ + 1 : record.clock;
+    if (record.type != RecordType::kRegister) {
+      const std::shared_ptr<const Contract>& old = contracts_[id];
+      retired.push_back(ContractVersion{old, old->valid_from, at});
+    }
+    if (record.type == RecordType::kUnregister) {
+      const Contract& victim = *contracts_[id];
+      if (options_.build_prefilter) {
+        prefilter_.Remove(id, victim.projections.original(), victim.events);
+      }
+      contracts_[id] = nullptr;
+      live_.Clear(id);
+      CTDB_OBS_COUNT("broker.unregisters", 1);
+    } else {
+      InstallLocked(std::move(*built[i]), &built_stats[i]);
+      RecordRegistrationStats(built_stats[i]);
+      if (stats != nullptr) *stats = built_stats[i];
+      if (record.type == RecordType::kRegister) {
+        CTDB_OBS_COUNT("broker.registrations", 1);
+      } else {
+        CTDB_OBS_COUNT("broker.replacements", 1);
+      }
+    }
+    record.contract_id = id;
+    record.clock = at;
+    ops_ += 1;
+    clock_ = at;
+  }
+  if (!retired.empty()) history_ = history_->Append(std::move(retired));
   Publish();
-  return at;
+  return Status::OK();
 }
 
 Result<uint32_t> ContractDatabase::Register(std::string name,
                                             std::string_view ltl_text,
-                                            RegistrationStats* stats,
-                                            uint64_t clock) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  CTDB_OBS_SPAN(span, "register");
-  const auto id = static_cast<uint32_t>(contracts_.size());
-  CTDB_RETURN_NOT_OK(PutVersionLocked(id, std::move(name),
-                                      std::string(ltl_text), stats, clock)
-                         .status());
-  return id;
+                                            RegistrationStats* stats) {
+  std::vector<wal::Record> batch = {wal::Record::Register(
+      0, 0, 0, std::move(name), std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Apply(&batch, 0, stats));
+  return batch[0].contract_id;
 }
 
 Result<uint32_t> ContractDatabase::RegisterFormula(std::string name,
                                                    const ltl::Formula* spec,
                                                    std::string ltl_text,
-                                                   RegistrationStats* stats,
-                                                   uint64_t clock) {
+                                                   RegistrationStats* stats) {
   if (ltl_text.empty()) {
     std::lock_guard<std::mutex> lock(writer_mutex_);
     ltl_text = spec->ToString(vocab_);
   }
-  return Register(std::move(name), ltl_text, stats, clock);
+  return Register(std::move(name), ltl_text, stats);
 }
 
-Result<uint64_t> ContractDatabase::Unregister(uint32_t id, uint64_t clock) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  CTDB_OBS_SPAN(span, "unregister");
-  CTDB_RETURN_NOT_OK(CheckLiveLocked(id));
-  CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
-  std::shared_ptr<const Contract> victim = contracts_[id];
-  if (options_.build_prefilter) {
-    prefilter_.Remove(id, victim->projections.original(), victim->events);
-  }
-  history_ = history_->Append(
-      ContractVersion{victim, victim->valid_from, at});
-  contracts_[id] = nullptr;
-  live_.Clear(id);
-  ops_ += 1;
-  clock_ = at;
-  Publish();
-  CTDB_OBS_COUNT("broker.unregisters", 1);
-  return at;
+Result<uint64_t> ContractDatabase::Unregister(uint32_t id) {
+  std::vector<wal::Record> batch = {wal::Record::Unregister(0, 0, id)};
+  CTDB_RETURN_NOT_OK(Apply(&batch));
+  return batch[0].clock;
 }
 
 Result<uint64_t> ContractDatabase::Replace(uint32_t id,
                                            std::string_view ltl_text,
-                                           RegistrationStats* stats,
-                                           uint64_t clock) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  CTDB_OBS_SPAN(span, "replace");
-  CTDB_RETURN_NOT_OK(CheckLiveLocked(id));
-  CTDB_ASSIGN_OR_RETURN(const uint64_t at,
-                        PutVersionLocked(id, contracts_[id]->name,
-                                         std::string(ltl_text), stats, clock));
-  CTDB_OBS_COUNT("broker.replacements", 1);
-  return at;
+                                           RegistrationStats* stats) {
+  std::vector<wal::Record> batch = {
+      wal::Record::Replace(0, 0, id, std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Apply(&batch, 0, stats));
+  return batch[0].clock;
+}
+
+Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
+    const std::vector<BatchEntry>& entries, size_t threads) {
+  std::vector<wal::Record> batch = RegisterRecords(entries);
+  CTDB_RETURN_NOT_OK(Apply(&batch, threads));
+  return ContractIds(batch);
+}
+
+std::vector<wal::Record> RegisterRecords(
+    const std::vector<ContractDatabase::BatchEntry>& entries) {
+  std::vector<wal::Record> records;
+  records.reserve(entries.size());
+  for (const ContractDatabase::BatchEntry& entry : entries) {
+    records.push_back(
+        wal::Record::Register(0, 0, 0, entry.name, entry.ltl_text));
+  }
+  return records;
+}
+
+std::vector<uint32_t> ContractIds(const std::vector<wal::Record>& records) {
+  std::vector<uint32_t> ids;
+  ids.reserve(records.size());
+  for (const wal::Record& record : records) ids.push_back(record.contract_id);
+  return ids;
 }
 
 Result<uint32_t> ContractDatabase::RestoreContract(
@@ -258,12 +331,12 @@ Result<uint32_t> ContractDatabase::RestoreContract(
   if (id < contracts_.size()) {
     return Status::InvalidArgument("restored contract ids must ascend");
   }
-  CTDB_RETURN_NOT_OK(BuildContract({id, valid_from, std::move(name),
-                                    std::move(ltl_text), std::move(ba),
-                                    std::move(events)},
-                                   EnsurePool(options_.threads), nullptr,
-                                   /*install=*/true)
-                         .status());
+  CTDB_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Contract> contract,
+      BuildContract({id, valid_from, std::move(name), std::move(ltl_text),
+                     std::move(ba), std::move(events)},
+                    EnsurePool(options_.threads), nullptr));
+  InstallLocked(std::move(contract), nullptr);
   Publish();
   return id;
 }
@@ -279,9 +352,9 @@ Status ContractDatabase::RestoreHistoryVersion(
       std::shared_ptr<const Contract> contract,
       BuildContract({id, valid_from, std::move(name), std::move(ltl_text),
                      std::move(ba), std::move(events)},
-                    EnsurePool(options_.threads), nullptr, /*install=*/false));
+                    EnsurePool(options_.threads), nullptr));
   history_ = history_->Append(
-      ContractVersion{std::move(contract), valid_from, valid_to});
+      {ContractVersion{std::move(contract), valid_from, valid_to}});
   Publish();
   return Status::OK();
 }
@@ -309,79 +382,11 @@ void ContractDatabase::PruneHistory(uint64_t horizon) {
   Publish();
 }
 
-Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
-    const std::vector<BatchEntry>& entries, size_t threads,
-    const std::vector<uint64_t>* clocks) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  if (clocks != nullptr) {
-    if (clocks->size() != entries.size()) {
-      return Status::InvalidArgument("clock count does not match batch size");
-    }
-    uint64_t last = clock_;
-    for (uint64_t c : *clocks) {
-      if (c <= last) {
-        return Status::InvalidArgument(
-            "batch clocks must be strictly increasing past the system clock");
-      }
-      last = c;
-    }
-  }
-
-  // Phase 1 (serial): intern every event with its final id, so the workers
-  // below parse read-only against a vocabulary that is stable under
-  // writer_mutex_.
-  for (const BatchEntry& entry : entries) {
-    CTDB_RETURN_NOT_OK(InternEventsLocked(entry.ltl_text));
-  }
-
-  // Phase 2 (parallel): build every contract with its final id and clock.
-  // BuildContract shares no mutable state between calls.
-  std::vector<Result<std::shared_ptr<const Contract>>> built(
-      entries.size(), Status::Internal("contract not built"));
-  const size_t workers = std::min(ResolveThreads(threads, options_),
-                                  std::max<size_t>(entries.size(), 1));
-  // With a single worker the batch itself is serial, but each contract's
-  // projection precompute can still use the shared executor.
-  util::ThreadPool* precompute_pool =
-      workers <= 1 ? EnsurePool(options_.threads) : nullptr;
-  auto build_range = [&](size_t start, size_t stride) {
-    for (size_t i = start; i < entries.size(); i += stride) {
-      const auto id = static_cast<uint32_t>(contracts_.size() + i);
-      const uint64_t at = clocks != nullptr ? (*clocks)[i] : clock_ + 1 + i;
-      built[i] =
-          BuildContract({id, at, entries[i].name, entries[i].ltl_text, {}, {}},
-                        precompute_pool, nullptr, /*install=*/false);
-    }
-  };
-  if (workers <= 1) {
-    build_range(0, 1);
-  } else {
-    CTDB_RETURN_NOT_OK(EnsurePool(workers)->ParallelFor(
-        0, workers, [&](size_t t) -> Status {
-          build_range(t, workers);
-          return Status::OK();
-        }));
-  }
-  for (const auto& b : built) CTDB_RETURN_NOT_OK(b.status());
-
-  // Phase 3 (serial): fill the shared index and commit. One publication at
-  // the end — queries observe the whole batch or none of it.
-  std::vector<uint32_t> ids;
-  ids.reserve(entries.size());
-  for (auto& b : built) {
-    ids.push_back((*b)->id);
-    clock_ = (*b)->valid_from;
-    ops_ += 1;
-    InstallLocked(std::move(*b), nullptr);
-  }
-  Publish();
-  return ids;
-}
-
 Result<EventId> ContractDatabase::InternEvent(std::string_view name) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
+  const size_t before = vocab_.size();
   CTDB_ASSIGN_OR_RETURN(EventId id, vocab_.Intern(name));
-  Publish();
+  if (vocab_.size() != before) Publish();
   return id;
 }
 

@@ -8,6 +8,10 @@
 // projection. Every optimization can be toggled, which is how the benchmarks
 // compare the unoptimized scan of §3 against the optimized system of §7.
 //
+// Every mutation is a batch of wal::Record values applied by one Apply
+// (DESIGN.md §10): Register, Replace, Unregister and RegisterBatch are
+// batches of their records, and WAL recovery replays a segment per Apply.
+//
 // Concurrency model (DESIGN.md §8): the database is snapshot-isolated.
 // Registration mutates writer-side master state under an internal mutex and
 // then publishes an immutable DatabaseSnapshot by swapping a shared_ptr;
@@ -35,6 +39,7 @@
 #include "obs/metrics.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
+#include "wal/record.h"
 
 namespace ctdb::broker {
 
@@ -46,17 +51,34 @@ class ContractDatabase {
  public:
   explicit ContractDatabase(const DatabaseOptions& options = {});
 
-  /// Registers a contract given as LTL text (clauses conjoined with '&').
-  /// New event names are interned into the vocabulary.
+  /// \brief The one mutation path: applies a batch of mutation records
+  /// atomically and publishes once (DESIGN.md §10, §14).
   ///
-  /// Every mutating call takes an optional system-period `clock` (DESIGN.md
-  /// §14): 0 (the default) self-assigns the next tick (`sequence() + 1` —
-  /// the unsharded case, where clock == mutation count), while an explicit
-  /// value stamps that clock (the sharded router and recovery replay both
-  /// assign clocks externally). An explicit clock must exceed sequence().
+  /// In order: validates every record (kRegister, kUnregister and kReplace
+  /// only; an explicit `clock` must advance past the previous record's,
+  /// while 0 self-assigns the next tick; an Unregister/Replace target must
+  /// be live given the batch's earlier records), interns the texts' events
+  /// in record order, builds every Register/Replace contract — on the
+  /// shared executor with `threads`-way concurrency (0 inherits
+  /// DatabaseOptions::threads) — and installs them in record order, moving
+  /// superseded versions to history and ticking ops and the clock once per
+  /// record. Then writes each record's contract id (a Register's new id)
+  /// and clock back into it, and publishes one snapshot.
+  ///
+  /// All-or-nothing: on any error nothing changes — no contract, clock,
+  /// history version or interned event is observable — and
+  /// `*failed_record`, when given, names the index of the record at fault.
+  /// `stats`, when given, receives the last Register/Replace record's
+  /// build stats.
+  Status Apply(std::vector<wal::Record>* records, size_t threads = 0,
+               RegistrationStats* stats = nullptr,
+               size_t* failed_record = nullptr);
+
+  /// Registers a contract given as LTL text (clauses conjoined with '&') —
+  /// an Apply of one kRegister record. New event names are interned into
+  /// the vocabulary.
   Result<uint32_t> Register(std::string name, std::string_view ltl_text,
-                            RegistrationStats* stats = nullptr,
-                            uint64_t clock = 0);
+                            RegistrationStats* stats = nullptr);
 
   /// Registers a pre-parsed contract formula (writer-side entry point: the
   /// formula must come from this database's factory() — see there). The
@@ -64,20 +86,20 @@ class ContractDatabase {
   /// exactly as Register would build it.
   Result<uint32_t> RegisterFormula(std::string name, const ltl::Formula* spec,
                                    std::string ltl_text = {},
-                                   RegistrationStats* stats = nullptr,
-                                   uint64_t clock = 0);
+                                   RegistrationStats* stats = nullptr);
 
-  /// \brief Unregisters the live contract `id`.
+  /// \brief Unregisters the live contract `id` (an Apply of one
+  /// kUnregister record).
   ///
   /// The contract's current version moves to the history store with its
   /// period closed at the operation's clock; its id is never reused (the
   /// slot becomes a hole). Queries observe the removal atomically, as-of
   /// queries below the clock keep seeing the contract. Returns the clock
   /// the removal happened at. NotFound when `id` is not live.
-  Result<uint64_t> Unregister(uint32_t id, uint64_t clock = 0);
+  Result<uint64_t> Unregister(uint32_t id);
 
   /// \brief Replaces the live contract `id`'s specification, keeping its id
-  /// and name.
+  /// and name (an Apply of one kReplace record).
   ///
   /// The superseded version (projections included) moves to the history
   /// store, the new version becomes live at the operation's clock, and
@@ -85,8 +107,7 @@ class ContractDatabase {
   /// supersession. NotFound when `id` is not live; on any parse/translate
   /// error nothing changes.
   Result<uint64_t> Replace(uint32_t id, std::string_view ltl_text,
-                           RegistrationStats* stats = nullptr,
-                           uint64_t clock = 0);
+                           RegistrationStats* stats = nullptr);
 
   /// Drops history versions fully dead at or before `horizon` and raises
   /// the as-of retention floor there (RetentionOptions). Publishes.
@@ -130,25 +151,23 @@ class ContractDatabase {
     std::string ltl_text;
   };
 
-  /// Registers many contracts at once, running the expensive per-contract
-  /// work (LTL→BA translation, seed computation, projection precomputation —
-  /// §7.4 observes this workload is "completely parallel") on the shared
-  /// executor with `threads`-way concurrency (0 inherits
-  /// DatabaseOptions::threads). Equivalent to registering the entries in
-  /// order; returns their ids. On any error nothing is registered, and
-  /// queries never observe a partially committed batch (one snapshot is
-  /// published at the end). `clocks`, when given, must hold one
-  /// strictly-increasing clock per entry (the sharded router's path);
-  /// nullptr self-assigns consecutive ticks.
+  /// Registers many contracts at once — an Apply of one kRegister record
+  /// per entry, so the expensive per-contract work (LTL→BA translation,
+  /// seed computation, projection precomputation — §7.4 observes this
+  /// workload is "completely parallel") runs with `threads`-way
+  /// concurrency (0 inherits DatabaseOptions::threads). Equivalent to
+  /// registering the entries in order; returns their ids. On any error
+  /// nothing is registered, and queries never observe a partially
+  /// committed batch.
   Result<std::vector<uint32_t>> RegisterBatch(
-      const std::vector<BatchEntry>& entries, size_t threads = 0,
-      const std::vector<uint64_t>* clocks = nullptr);
+      const std::vector<BatchEntry>& entries, size_t threads = 0);
 
   /// Interns an event into the vocabulary without registering a contract,
   /// and publishes the change so subsequent queries may cite it. Returns the
-  /// event's id (the existing one if already interned). This is the
-  /// writer-side way to introduce query-only events (e.g. the persistence
-  /// loader restoring a vocabulary larger than its contracts cite).
+  /// event's id (the existing one if already interned, which publishes
+  /// nothing). This is the writer-side way to introduce query-only events
+  /// (e.g. the persistence loader restoring a vocabulary larger than its
+  /// contracts cite).
   Result<EventId> InternEvent(std::string_view name);
 
   /// \brief The current immutable snapshot.
@@ -265,46 +284,24 @@ class ContractDatabase {
     Bitset events;                      ///< with `ba`: the cited events
   };
 
-  /// \brief The one contract builder: every registration, replacement,
-  /// batch worker and restore goes through it.
+  /// \brief The one contract builder: Apply's workers and both restore
+  /// loaders go through it.
   ///
   /// Unless the draft carries an automaton, parses its text into a fresh
-  /// FormulaFactory (read-only against vocab_ — intern first, see
-  /// InternEventsLocked) and translates it, so a contract's automaton
-  /// depends only on its text and the translate options. Then validates the
-  /// automaton and precomputes seed states and projections on `pool`. With
-  /// `install` the result is committed via InstallLocked (the caller holds
-  /// writer_mutex_); without, no state is touched and concurrent calls are
-  /// safe.
+  /// FormulaFactory (read-only against vocab_ — Apply interns first) and
+  /// translates it, so a contract's automaton depends only on its text and
+  /// the translate options. Then validates the automaton and precomputes
+  /// seed states and projections on `pool`. Touches no database state, so
+  /// concurrent calls are safe.
   Result<std::shared_ptr<const Contract>> BuildContract(
-      ContractDraft draft, util::ThreadPool* pool, RegistrationStats* stats,
-      bool install);
+      ContractDraft draft, util::ThreadPool* pool,
+      RegistrationStats* stats) const;
 
   /// Puts `contract` into slot contract->id — swapping the prefilter entry
   /// of the version it supersedes, growing the slot table with holes as
   /// needed — and marks it live. Neither ticks the clock nor publishes.
   void InstallLocked(std::shared_ptr<const Contract> contract,
                      RegistrationStats* stats);
-
-  /// Interns the events `ltl_text` cites; the parse error when it does not
-  /// parse.
-  Status InternEventsLocked(std::string_view ltl_text);
-
-  /// Register and Replace's shared body: builds `ltl_text` as the version
-  /// of slot `id` valid from the resolved clock and installs it, moving a
-  /// superseded live version to history; returns the clock. The caller
-  /// holds writer_mutex_.
-  Result<uint64_t> PutVersionLocked(uint32_t id, std::string name,
-                                    std::string ltl_text,
-                                    RegistrationStats* stats, uint64_t clock);
-
-  /// NotFound unless `id` names a live contract.
-  Status CheckLiveLocked(uint32_t id) const;
-
-  /// Resolves an optional caller clock (0 = self-assign the next tick);
-  /// InvalidArgument when an explicit clock does not advance. The caller
-  /// holds writer_mutex_.
-  Result<uint64_t> ResolveClockLocked(uint64_t clock) const;
 
   /// Builds a snapshot of the master state and publishes it; the caller
   /// holds writer_mutex_ (the constructor publishes without it — no
@@ -322,8 +319,8 @@ class ContractDatabase {
 
   DatabaseOptions options_;
 
-  /// Serializes all writers (Register*, InternEvent). Readers never take
-  /// it — they go through snapshot_.
+  /// Serializes all writers (Apply, InternEvent, the restore hooks).
+  /// Readers never take it — they go through snapshot_.
   std::mutex writer_mutex_;
 
   // --- master state, mutated only under writer_mutex_ -------------------
@@ -364,5 +361,13 @@ class ContractDatabase {
   mutable std::mutex pool_mutex_;
   mutable std::unique_ptr<util::ThreadPool> pool_;
 };
+
+/// One kRegister record per entry, clock 0 (self-assigned): RegisterBatch
+/// as an Apply batch, at every layer.
+std::vector<wal::Record> RegisterRecords(
+    const std::vector<ContractDatabase::BatchEntry>& entries);
+
+/// The contract ids Apply wrote back, in record order.
+std::vector<uint32_t> ContractIds(const std::vector<wal::Record>& records);
 
 }  // namespace ctdb::broker

@@ -42,41 +42,6 @@ bool ParseCheckpointFileName(std::string_view name, uint64_t* sequence) {
   return true;
 }
 
-namespace {
-
-/// The one apply path, shared by the durable mutations and WAL replay:
-/// applies mutation `record` to `db` (clock 0 self-assigns the next tick)
-/// and fills in what it assigned — the contract id of a kRegister and the
-/// clock of every mutation.
-Status ApplyMutation(ContractDatabase* db, wal::Record* record,
-                     RegistrationStats* stats) {
-  switch (record->type) {
-    case wal::RecordType::kRegister: {
-      CTDB_ASSIGN_OR_RETURN(record->contract_id,
-                            db->Register(record->name, record->ltl_text, stats,
-                                         record->clock));
-      record->clock = db->last_sequence();
-      return Status::OK();
-    }
-    case wal::RecordType::kUnregister: {
-      CTDB_ASSIGN_OR_RETURN(record->clock,
-                            db->Unregister(record->contract_id, record->clock));
-      return Status::OK();
-    }
-    case wal::RecordType::kReplace: {
-      CTDB_ASSIGN_OR_RETURN(record->clock,
-                            db->Replace(record->contract_id, record->ltl_text,
-                                        stats, record->clock));
-      return Status::OK();
-    }
-    case wal::RecordType::kCheckpoint:
-      break;
-  }
-  return Status::InvalidArgument("not a mutation record");
-}
-
-}  // namespace
-
 Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
     const std::string& dir, const DatabaseOptions& options,
     RecoveryStats* stats_out) {
@@ -137,8 +102,12 @@ Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
     stats.bytes_scanned += data.size();
     if (parsed.torn_tail) stats.tail_truncated = true;
 
+    // Every check first, then the segment's mutations as one Apply: one
+    // publish per segment, and the recorded system-period clocks, so valid
+    // periods (and therefore as_of answers) reproduce exactly.
     uint64_t segment_max_sequence = 0;
-    for (const wal::Record& record : parsed.records) {
+    std::vector<wal::Record> batch;
+    for (wal::Record& record : parsed.records) {
       if (record.type == wal::RecordType::kCheckpoint) continue;
       segment_max_sequence = std::max(segment_max_sequence, record.sequence);
       if (record.sequence <= base) {
@@ -150,27 +119,30 @@ Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
             "mutation sequence gap in %s: expected %" PRIu64 ", found %" PRIu64,
             name.c_str(), next_expected, record.sequence));
       }
-      // Replay with the recorded system-period clock so valid periods (and
-      // therefore as_of answers) reproduce exactly, sharded or not.
-      wal::Record replayed = record;
-      const Status applied = ApplyMutation(db.get(), &replayed, nullptr);
-      if (!applied.ok()) {
-        const char* what =
-            record.type == wal::RecordType::kUnregister ? "unregister"
-            : record.type == wal::RecordType::kReplace  ? "replace"
-                                                        : "record";
-        return Status::Corruption(
-            StringFormat("replay of %s %" PRIu64, what, record.sequence) +
-            " failed: " + applied.ToString());
-      }
-      if (replayed.contract_id != record.contract_id) {
+      batch.push_back(std::move(record));
+      ++next_expected;
+    }
+    std::vector<uint32_t> logged_ids;
+    for (const wal::Record& record : batch) {
+      logged_ids.push_back(record.contract_id);
+    }
+    size_t failed = 0;
+    const Status applied = db->Apply(&batch, 0, nullptr, &failed);
+    if (!applied.ok()) {
+      return Status::Corruption(
+          StringFormat("replay of %s %" PRIu64,
+                       wal::RecordTypeName(batch[failed].type),
+                       batch[failed].sequence) +
+          " failed: " + applied.ToString());
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i].contract_id != logged_ids[i]) {
         return Status::Corruption(StringFormat(
             "replayed record %" PRIu64 " got contract id %u, logged %u",
-            record.sequence, replayed.contract_id, record.contract_id));
+            batch[i].sequence, batch[i].contract_id, logged_ids[i]));
       }
-      ++next_expected;
-      ++stats.records_replayed;
     }
+    stats.records_replayed += batch.size();
     stats.sealed_segments.push_back(
         wal::LogWriter::SegmentInfo{index, segment_max_sequence, data.size()});
   }
@@ -217,15 +189,34 @@ Result<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
 
 DurableDatabase::~DurableDatabase() { Close(); }
 
-Status DurableDatabase::Commit(const char* crash_point,
-                              const std::function<Status()>& apply,
-                              std::vector<wal::Record>* records) {
+namespace {
+
+/// The crash point between applying a batch and logging it.
+const char* AfterApplySite(const std::vector<wal::Record>& records) {
+  if (records.size() != 1) return "durable.batch.after_apply";
+  switch (records[0].type) {
+    case wal::RecordType::kRegister:
+      return "durable.register.after_apply";
+    case wal::RecordType::kUnregister:
+      return "durable.unregister.after_apply";
+    case wal::RecordType::kReplace:
+      return "durable.replace.after_apply";
+    case wal::RecordType::kCheckpoint:
+      break;
+  }
+  return "durable.batch.after_apply";
+}
+
+}  // namespace
+
+Status DurableDatabase::Apply(std::vector<wal::Record>* records,
+                              RegistrationStats* stats) {
   std::vector<std::future<Status>> durable;
   {
     std::lock_guard<std::mutex> lock(append_mutex_);
     CTDB_RETURN_NOT_OK(CheckOpen());
-    CTDB_RETURN_NOT_OK(apply());
-    util::CrashPoint(crash_point);
+    CTDB_RETURN_NOT_OK(db_->Apply(records, 0, stats));
+    util::CrashPoint(AfterApplySite(*records));
     durable.reserve(records->size());
     for (wal::Record& record : *records) {
       record.sequence = ++sequence_;
@@ -242,60 +233,34 @@ Status DurableDatabase::Commit(const char* crash_point,
   return Status::OK();
 }
 
-Result<uint32_t> DurableDatabase::RegisterWithClock(std::string name,
-                                                    std::string_view ltl_text,
-                                                    RegistrationStats* stats,
-                                                    uint64_t clock) {
+Result<uint32_t> DurableDatabase::Register(std::string name,
+                                           std::string_view ltl_text,
+                                           RegistrationStats* stats) {
   std::vector<wal::Record> records = {wal::Record::Register(
-      0, clock, 0, std::move(name), std::string(ltl_text))};
-  CTDB_RETURN_NOT_OK(Commit(
-      "durable.register.after_apply",
-      [&] { return ApplyMutation(db_.get(), &records[0], stats); }, &records));
+      0, 0, 0, std::move(name), std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Apply(&records, stats));
   return records[0].contract_id;
 }
 
-Result<std::vector<uint32_t>> DurableDatabase::RegisterBatchWithClocks(
-    const std::vector<ContractDatabase::BatchEntry>& entries,
-    const std::vector<uint64_t>* clocks) {
-  std::vector<uint32_t> ids;
-  std::vector<wal::Record> records;
-  CTDB_RETURN_NOT_OK(Commit(
-      "durable.register_batch.after_apply",
-      [&]() -> Status {
-        CTDB_ASSIGN_OR_RETURN(ids, db_->RegisterBatch(entries, 0, clocks));
-        // Each record logs its contract's actual valid_from so replay with
-        // explicit clocks reproduces the same periods.
-        const auto snapshot = db_->Snapshot();
-        for (size_t i = 0; i < entries.size(); ++i) {
-          records.push_back(wal::Record::Register(
-              0, snapshot->contract(ids[i]).valid_from, ids[i],
-              entries[i].name, entries[i].ltl_text));
-        }
-        return Status::OK();
-      },
-      &records));
-  return ids;
+Result<std::vector<uint32_t>> DurableDatabase::RegisterBatch(
+    const std::vector<ContractDatabase::BatchEntry>& entries) {
+  std::vector<wal::Record> records = RegisterRecords(entries);
+  CTDB_RETURN_NOT_OK(Apply(&records));
+  return ContractIds(records);
 }
 
-Result<uint64_t> DurableDatabase::UnregisterWithClock(uint32_t id,
-                                                      uint64_t clock) {
-  std::vector<wal::Record> records = {wal::Record::Unregister(0, clock, id)};
-  CTDB_RETURN_NOT_OK(Commit(
-      "durable.unregister.after_apply",
-      [&] { return ApplyMutation(db_.get(), &records[0], nullptr); },
-      &records));
+Result<uint64_t> DurableDatabase::Unregister(uint32_t id) {
+  std::vector<wal::Record> records = {wal::Record::Unregister(0, 0, id)};
+  CTDB_RETURN_NOT_OK(Apply(&records));
   return records[0].clock;
 }
 
-Result<uint64_t> DurableDatabase::ReplaceWithClock(uint32_t id,
-                                                   std::string_view ltl_text,
-                                                   RegistrationStats* stats,
-                                                   uint64_t clock) {
+Result<uint64_t> DurableDatabase::Replace(uint32_t id,
+                                          std::string_view ltl_text,
+                                          RegistrationStats* stats) {
   std::vector<wal::Record> records = {
-      wal::Record::Replace(0, clock, id, std::string(ltl_text))};
-  CTDB_RETURN_NOT_OK(Commit(
-      "durable.replace.after_apply",
-      [&] { return ApplyMutation(db_.get(), &records[0], stats); }, &records));
+      wal::Record::Replace(0, 0, id, std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Apply(&records, stats));
   return records[0].clock;
 }
 

@@ -2,10 +2,10 @@
 // group commit, checkpointing and crash recovery (DESIGN.md §10).
 //
 // `DurableDatabase` wraps a `ContractDatabase` and a `wal::LogWriter`.
-// Every mutation runs through one commit path (Commit): apply to the
-// in-memory database, then log; Ok only once the records are durable under
-// the configured `wal::FsyncPolicy`, so a crash loses at most the mutations
-// whose call had not yet returned.
+// Every mutation is a batch of `wal::Record`s through one path (Apply):
+// apply to the in-memory database, then log; Ok only once the records are
+// durable under the configured `wal::FsyncPolicy`, so a crash loses at most
+// the mutations whose call had not yet returned.
 //
 // A checkpoint pins the current snapshot, writes it as a full SaveSnapshot
 // image to `checkpoint-<sequence>.ctdb` (temp file + atomic rename, so a
@@ -16,16 +16,15 @@
 //
 // Recovery (`RecoverDatabase`) loads the newest valid checkpoint (falling
 // back to older ones, then to an empty database), replays the segments'
-// mutation records past it in sequence order through the commit path's
-// apply step, with their recorded system-period clocks, treats a torn or
-// CRC-corrupt tail as a clean end of log (wal/segment.h), and reports any
-// damage before the tail — including a mutation-sequence gap — as
-// Status::Corruption.
+// mutation records past it in sequence order — one ContractDatabase::Apply
+// (one publish) per segment, with the recorded system-period clocks — treats
+// a torn or CRC-corrupt tail as a clean end of log (wal/segment.h), and
+// reports any damage before the tail — including a mutation-sequence gap —
+// as Status::Corruption.
 
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,11 +67,12 @@ struct RecoveryStats {
 /// \brief Rebuilds a database from a WAL directory.
 ///
 /// Loads the newest checkpoint that deserializes cleanly and replays every
-/// registration record with a later sequence. Returns Status::Corruption
-/// when the log is damaged anywhere but the tail: an invalid frame followed
-/// by a valid one, a sequence gap or regression, a record whose replayed
-/// registration fails, or a checkpointed image that cannot be reconciled
-/// with the surviving log. A torn tail only sets
+/// mutation record with a later sequence, one Apply per segment. Returns
+/// Status::Corruption when the log is damaged anywhere but the tail: an
+/// invalid frame followed by a valid one, a sequence gap or regression, a
+/// record whose replay fails (named by kind and sequence) or gets another
+/// contract id than logged, or a checkpointed image that cannot be
+/// reconciled with the surviving log. A torn tail only sets
 /// RecoveryStats::tail_truncated.
 Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
     const std::string& dir, const DatabaseOptions& options = {},
@@ -97,49 +97,33 @@ class DurableDatabase : public Broker {
   DurableDatabase(const DurableDatabase&) = delete;
   DurableDatabase& operator=(const DurableDatabase&) = delete;
 
-  /// Registers a contract and returns once its WAL record is durable under
-  /// the configured fsync policy. Queries may observe the registration
-  /// slightly before it is durable (never after a failure).
-  Result<uint32_t> Register(std::string name, std::string_view ltl_text,
-                            RegistrationStats* stats = nullptr) override {
-    return RegisterWithClock(std::move(name), ltl_text, stats, 0);
-  }
-
-  /// Registers a batch atomically (all-or-nothing in memory, one WAL group
-  /// on disk). Returns once every record of the batch is durable.
-  Result<std::vector<uint32_t>> RegisterBatch(
-      const std::vector<ContractDatabase::BatchEntry>& entries) override {
-    return RegisterBatchWithClocks(entries, nullptr);
-  }
-
-  /// Unregisters the live contract `id`; Ok only once the kUnregister
-  /// record is durable. Returns the system-period clock of the removal.
-  Result<uint64_t> Unregister(uint32_t id) override {
-    return UnregisterWithClock(id, 0);
-  }
-
-  /// Replaces the live contract `id`'s specification; Ok only once the
-  /// kReplace record is durable. Returns the clock of the supersession.
-  Result<uint64_t> Replace(uint32_t id, std::string_view ltl_text,
-                           RegistrationStats* stats = nullptr) override {
-    return ReplaceWithClock(id, ltl_text, stats, 0);
-  }
-
-  /// \name Explicit-clock mutation variants (the sharded router's path).
+  /// \brief The one durable mutation path: applies `records` to the
+  /// in-memory database (ContractDatabase::Apply — all-or-nothing, ids and
+  /// clocks written back), then logs them as one WAL group.
   ///
-  /// `clock` = 0 self-assigns the next tick (== the unsharded WAL
-  /// sequence); the router passes its global clock so valid periods are
-  /// comparable across shards (DESIGN.md §14).
+  /// Under append_mutex_ (so on-disk record order is mutation order):
+  /// Unavailable after Close; apply; the `durable.<kind>.after_apply` crash
+  /// point (`durable.batch.after_apply` for more than one record); each
+  /// record takes the next WAL sequence and is enqueued. Ok only once every
+  /// record is durable under the configured fsync policy; queries may
+  /// observe the mutations slightly before that (never after a failure).
+  /// `stats` as in ContractDatabase::Apply.
+  Status Apply(std::vector<wal::Record>* records,
+               RegistrationStats* stats = nullptr);
+
+  /// \name Broker mutations — each an Apply of its records.
   /// @{
-  Result<uint32_t> RegisterWithClock(std::string name,
-                                     std::string_view ltl_text,
-                                     RegistrationStats* stats, uint64_t clock);
-  Result<std::vector<uint32_t>> RegisterBatchWithClocks(
-      const std::vector<ContractDatabase::BatchEntry>& entries,
-      const std::vector<uint64_t>* clocks);
-  Result<uint64_t> UnregisterWithClock(uint32_t id, uint64_t clock);
-  Result<uint64_t> ReplaceWithClock(uint32_t id, std::string_view ltl_text,
-                                    RegistrationStats* stats, uint64_t clock);
+  /// Returns the new contract's id once its kRegister record is durable.
+  Result<uint32_t> Register(std::string name, std::string_view ltl_text,
+                            RegistrationStats* stats = nullptr) override;
+  /// All-or-nothing in memory, one WAL group on disk.
+  Result<std::vector<uint32_t>> RegisterBatch(
+      const std::vector<ContractDatabase::BatchEntry>& entries) override;
+  /// Returns the system-period clock of the removal.
+  Result<uint64_t> Unregister(uint32_t id) override;
+  /// Returns the clock of the supersession.
+  Result<uint64_t> Replace(uint32_t id, std::string_view ltl_text,
+                           RegistrationStats* stats = nullptr) override;
   /// @}
 
   /// Interns a query-only event into the vocabulary, publishing it
@@ -223,17 +207,6 @@ class DurableDatabase : public Broker {
                   std::unique_ptr<ContractDatabase> db,
                   std::unique_ptr<wal::LogWriter> writer,
                   RecoveryStats recovery_stats);
-
-  /// \brief The one durable commit path: every mutation and the batch run
-  /// through it.
-  ///
-  /// Under append_mutex_ (so on-disk record order is mutation order):
-  /// Unavailable after Close; `apply` mutates the in-memory database and
-  /// fills `records`; `crash_point`; each record takes the next WAL
-  /// sequence and is enqueued. Then waits until every record is durable and
-  /// schedules a checkpoint when one is due.
-  Status Commit(const char* crash_point, const std::function<Status()>& apply,
-                std::vector<wal::Record>* records);
 
   Status CheckOpen() const {
     if (closed_.load(std::memory_order_relaxed)) {

@@ -5,9 +5,12 @@
 namespace ctdb::broker {
 
 std::shared_ptr<const HistoryStore> HistoryStore::Append(
-    ContractVersion version) const {
+    std::vector<ContractVersion> retired) const {
   auto next = std::make_shared<HistoryStore>(*this);
-  next->versions_.push_back(std::move(version));
+  next->versions_.reserve(versions_.size() + retired.size());
+  for (ContractVersion& version : retired) {
+    next->versions_.push_back(std::move(version));
+  }
   return next;
 }
 

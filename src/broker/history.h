@@ -53,10 +53,12 @@ class HistoryStore {
  public:
   HistoryStore() = default;
 
-  /// New store = this + one more retired version. `version.valid_to` must
-  /// exceed `version.valid_from` (an empty period would be invisible at
-  /// every clock and is a caller bug).
-  std::shared_ptr<const HistoryStore> Append(ContractVersion version) const;
+  /// New store = this + `retired`, in order (one copy however many a
+  /// mutation batch retires). Each `valid_to` must exceed its `valid_from`
+  /// (an empty period would be invisible at every clock and is a caller
+  /// bug).
+  std::shared_ptr<const HistoryStore> Append(
+      std::vector<ContractVersion> retired) const;
 
   /// New store without versions fully dead at or before `horizon`
   /// (valid_to <= horizon) and with floor() raised to `horizon`. Returns

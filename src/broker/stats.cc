@@ -33,7 +33,6 @@ void RecordQueryStats(const QueryStats& stats) {
 }
 
 void RecordRegistrationStats(const RegistrationStats& stats) {
-  CTDB_OBS_COUNT("broker.registrations", 1);
   CTDB_OBS_HIST("broker.register.translate_us",
                 MillisToMicros(stats.translate_ms));
   CTDB_OBS_HIST("broker.register.prefilter_insert_us",

@@ -266,159 +266,147 @@ Status ShardedDatabase::BroadcastEventsLocked(size_t from, uint32_t local_id) {
   return Status::OK();
 }
 
-Result<uint32_t> ShardedDatabase::Register(std::string name,
-                                           std::string_view ltl_text,
-                                           broker::RegistrationStats* stats) {
+Status ShardedDatabase::Route(std::vector<wal::Record>* records,
+                              broker::RegistrationStats* stats) {
+  using wal::RecordType;
   CTDB_RETURN_NOT_OK(CheckOpen());
-  std::lock_guard<std::mutex> lock(route_mutex_);
-  const size_t k = RouteShard(slots_);
-  const uint64_t at = clock_ + 1;
-  auto local = shards_[k]->RegisterWithClock(std::move(name), ltl_text, stats,
-                                             at);
-  // Resync even on failure: a WAL-append error still applied the mutation
-  // (and its clock) in the shard's memory, and the router must not hand the
-  // same tick out twice.
-  clock_ = std::max(clock_, shards_[k]->last_sequence());
-  CTDB_RETURN_NOT_OK(local.status());
-  const uint32_t local_id = *local;
-  // The shard assigns local ids densely from its own slot count; the route
-  // table tracked that count, so the striped global id is exactly the next
-  // one.
-  if (local_id != slots_[k]) {
-    return Status::Internal(StringFormat(
-        "shard %zu assigned local id %u, router expected %llu", k, local_id,
-        static_cast<unsigned long long>(slots_[k])));
-  }
-  slots_[k] += 1;
-#if CTDB_OBS
-  if (obs::Enabled() && !register_counters_.empty()) {
-    register_counters_[k]->Add();
-  }
-#endif
-  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(k, local_id));
-  return GlobalId(k, local_id, shards_.size());
-}
-
-Result<std::vector<uint32_t>> ShardedDatabase::RegisterBatch(
-    const std::vector<broker::ContractDatabase::BatchEntry>& entries) {
-  CTDB_RETURN_NOT_OK(CheckOpen());
-  if (entries.empty()) return std::vector<uint32_t>{};
-
-  // Pre-validate every entry with a scratch parser so a malformed entry
-  // fails the whole batch before anything touches any shard — the same
-  // all-or-nothing surface as the unsharded RegisterBatch.
-  {
+  const bool single = records->size() == 1;
+  if (!single) {
+    // A batch can span shards, and no shard can undo another's commit:
+    // pre-parse every text with a scratch parser so a malformed one fails
+    // the whole batch before anything touches any shard — the same
+    // all-or-nothing surface as the unsharded Apply.
     ltl::FormulaFactory scratch_factory;
     Vocabulary scratch_vocab;
-    for (const auto& entry : entries) {
+    for (const wal::Record& record : *records) {
+      if (record.type == RecordType::kUnregister) continue;
       CTDB_RETURN_NOT_OK(
-          ltl::Parse(entry.ltl_text, &scratch_factory, &scratch_vocab)
+          ltl::Parse(record.ltl_text, &scratch_factory, &scratch_vocab)
               .status());
     }
   }
 
   std::lock_guard<std::mutex> lock(route_mutex_);
   const size_t n = shards_.size();
+  // A shard knows only local ids: NotFound names the global one.
+  auto not_live = [](uint32_t id) {
+    return Status::NotFound("contract " + std::to_string(id) + " is not live");
+  };
 
-  // Assign global ids and clocks up front (round-robin over the
-  // lowest-next-id shards), grouping entries into per-shard sub-batches.
-  // Entry i gets global clock clock_ + 1 + i, so the batch occupies the
-  // same clock range as the equivalent sequence of single registrations.
-  std::vector<uint32_t> global_ids(entries.size());
-  std::vector<std::vector<broker::ContractDatabase::BatchEntry>> sub(n);
-  std::vector<std::vector<uint64_t>> sub_clocks(n);
+  // Plan: a Register goes to the shard owning the lowest next global id, a
+  // lifecycle record to its contract's shard; record i takes global clock
+  // clock_ + 1 + i, so a batch occupies the same clock range as the
+  // equivalent sequence of single mutations. Record i becomes entry
+  // position[i] of shard shard[i]'s sub-batch, with local id local_id[i].
+  std::vector<std::vector<wal::Record>> sub(n);
+  std::vector<size_t> shard(records->size());
+  std::vector<size_t> position(records->size());
+  std::vector<uint32_t> local_id(records->size());
   std::vector<uint64_t> planned = slots_;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const size_t best = RouteShard(planned);
-    global_ids[i] =
-        GlobalId(best, static_cast<uint32_t>(planned[best]), n);
-    planned[best] += 1;
-    sub[best].push_back(entries[i]);
-    sub_clocks[best].push_back(clock_ + 1 + i);
-  }
-
-  // Commit the sub-batches, each atomic within its shard.
-  const Status committed = Scatter(pool_.get(), n, [&](size_t k) -> Status {
-    if (sub[k].empty()) return Status::OK();
-    auto ids = shards_[k]->RegisterBatchWithClocks(sub[k], &sub_clocks[k]);
-    if (!ids.ok()) return AnnotateShard(k, ids.status());
-    for (size_t slot = 0; slot < ids->size(); ++slot) {
-      if ((*ids)[slot] != slots_[k] + slot) {
-        return AnnotateShard(k, Status::Internal("local id out of step"));
+  for (size_t i = 0; i < records->size(); ++i) {
+    wal::Record local = (*records)[i];
+    size_t k = 0;
+    if (local.type == RecordType::kRegister) {
+      k = RouteShard(planned);
+      local.contract_id = static_cast<uint32_t>(planned[k]++);
+    } else {
+      k = ShardOfId(local.contract_id, n);
+      if (LocalId(local.contract_id, n) >= planned[k]) {
+        return not_live(local.contract_id);
       }
+      local.contract_id = LocalId(local.contract_id, n);
     }
-    return Status::OK();
-  });
-  // Resync slots and the clock from the shards: on a partial failure some
-  // sub-batches committed (and consumed their planned clocks), and the
-  // router view must cover them.
-  for (size_t k = 0; k < n; ++k) {
-    slots_[k] = shards_[k]->slot_count();
-    clock_ = std::max(clock_, shards_[k]->last_sequence());
+    local.clock = clock_ + 1 + i;
+    shard[i] = k;
+    position[i] = sub[k].size();
+    local_id[i] = local.contract_id;
+    sub[k].push_back(std::move(local));
   }
-  CTDB_RETURN_NOT_OK(committed);
 
-#if CTDB_OBS
+  // Apply the sub-batches, each atomic within its shard.
+  size_t touched = 0;
+  for (const auto& batch : sub) touched += batch.empty() ? 0 : 1;
+  const Status applied = Scatter(
+      touched > 1 ? pool_.get() : nullptr, n, [&](size_t k) -> Status {
+        if (sub[k].empty()) return Status::OK();
+        const Status s = shards_[k]->Apply(&sub[k], single ? stats : nullptr);
+        return single ? s : AnnotateShard(k, s);
+      });
+  // Resync even on failure: a WAL-append error still applied the mutations
+  // (and their clocks) in the shard's memory, and on a partial failure
+  // other sub-batches committed; the router must not hand a tick or a slot
+  // out twice.
   for (size_t k = 0; k < n; ++k) {
-    if (obs::Enabled() && !register_counters_.empty() && !sub[k].empty()) {
-      register_counters_[k]->Add(sub[k].size());
-    }
+    if (sub[k].empty()) continue;
+    clock_ = std::max(clock_, shards_[k]->last_sequence());
+    slots_[k] = shards_[k]->slot_count();
   }
+  if (single && applied.IsNotFound()) {
+    return not_live((*records)[0].contract_id);
+  }
+  CTDB_RETURN_NOT_OK(applied);
+
+  // Write the global ids and clocks back; keep the vocabularies in sync.
+  for (size_t i = 0; i < records->size(); ++i) {
+    const size_t k = shard[i];
+    const wal::Record& local = sub[k][position[i]];
+    wal::Record& record = (*records)[i];
+    record.clock = local.clock;
+    switch (record.type) {
+      case RecordType::kRegister:
+        // The shard assigns local ids densely from its own slot count,
+        // which the route table tracked.
+        if (local.contract_id != local_id[i]) {
+          return AnnotateShard(k, Status::Internal("local id out of step"));
+        }
+        record.contract_id = GlobalId(k, local.contract_id, n);
+#if CTDB_OBS
+        if (obs::Enabled() && !register_counters_.empty()) {
+          register_counters_[k]->Add();
+        }
 #endif
-  for (uint32_t gid : global_ids) {
-    CTDB_RETURN_NOT_OK(
-        BroadcastEventsLocked(ShardOfId(gid, n), LocalId(gid, n)));
+        break;
+      case RecordType::kReplace:
+        CTDB_OBS_COUNT("shard.replaces", 1);
+        break;
+      default:
+        CTDB_OBS_COUNT("shard.unregisters", 1);
+        continue;  // nothing new to broadcast
+    }
+    CTDB_RETURN_NOT_OK(BroadcastEventsLocked(k, local.contract_id));
   }
-  return global_ids;
+  return Status::OK();
 }
 
-Result<uint64_t> ShardedDatabase::MutateLocked(
-    uint32_t id, const std::function<Result<uint64_t>(
-                     broker::DurableDatabase*, uint32_t, uint64_t)>& op) {
-  const size_t n = shards_.size();
-  const size_t k = ShardOfId(id, n);
-  // Surface the global id in the not-found case: the shard only knows the
-  // local id, and an out-of-range local would read as a different contract.
-  const Status not_found =
-      Status::NotFound("contract " + std::to_string(id) + " is not live");
-  if (LocalId(id, n) >= slots_[k]) return not_found;
-  auto at = op(shards_[k].get(), LocalId(id, n), clock_ + 1);
-  // Resync even on failure: a WAL-append error still ticked the shard.
-  clock_ = std::max(clock_, shards_[k]->last_sequence());
-  if (at.status().code() == StatusCode::kNotFound) return not_found;
-  return at;
+Result<uint32_t> ShardedDatabase::Register(std::string name,
+                                           std::string_view ltl_text,
+                                           broker::RegistrationStats* stats) {
+  std::vector<wal::Record> records = {wal::Record::Register(
+      0, 0, 0, std::move(name), std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Route(&records, stats));
+  return records[0].contract_id;
+}
+
+Result<std::vector<uint32_t>> ShardedDatabase::RegisterBatch(
+    const std::vector<broker::ContractDatabase::BatchEntry>& entries) {
+  std::vector<wal::Record> records = broker::RegisterRecords(entries);
+  CTDB_RETURN_NOT_OK(Route(&records, nullptr));
+  return broker::ContractIds(records);
 }
 
 Result<uint64_t> ShardedDatabase::Unregister(uint32_t id) {
-  CTDB_RETURN_NOT_OK(CheckOpen());
-  std::lock_guard<std::mutex> lock(route_mutex_);
-  CTDB_ASSIGN_OR_RETURN(
-      const uint64_t at,
-      MutateLocked(id, [](broker::DurableDatabase* shard, uint32_t local,
-                          uint64_t clock) {
-        return shard->UnregisterWithClock(local, clock);
-      }));
-  CTDB_OBS_COUNT("shard.unregisters", 1);
-  return at;
+  std::vector<wal::Record> records = {wal::Record::Unregister(0, 0, id)};
+  CTDB_RETURN_NOT_OK(Route(&records, nullptr));
+  return records[0].clock;
 }
 
 Result<uint64_t> ShardedDatabase::Replace(uint32_t id,
                                           std::string_view ltl_text,
                                           broker::RegistrationStats* stats) {
-  CTDB_RETURN_NOT_OK(CheckOpen());
-  std::lock_guard<std::mutex> lock(route_mutex_);
-  CTDB_ASSIGN_OR_RETURN(
-      const uint64_t at,
-      MutateLocked(id, [&](broker::DurableDatabase* shard, uint32_t local,
-                           uint64_t clock) {
-        return shard->ReplaceWithClock(local, ltl_text, stats, clock);
-      }));
-  // The replacement text may cite brand-new events; keep the vocabularies
-  // in sync exactly as Register does.
-  const size_t n = shards_.size();
-  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(ShardOfId(id, n), LocalId(id, n)));
-  CTDB_OBS_COUNT("shard.replaces", 1);
-  return at;
+  std::vector<wal::Record> records = {
+      wal::Record::Replace(0, 0, id, std::string(ltl_text))};
+  CTDB_RETURN_NOT_OK(Route(&records, stats));
+  return records[0].clock;
 }
 
 Result<broker::QueryResult> ShardedDatabase::Query(

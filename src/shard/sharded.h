@@ -23,12 +23,12 @@
 //
 // Clocks. Each mutation ticks one global system-period clock held by the
 // router (recovered as the max of the shards' clocks); the ticked value is
-// passed down via the shards' *WithClock entry points and stamped into the
-// contract's [valid_from, valid_to) period and WAL record. Per-shard clocks
-// are therefore sparse but mutually comparable, which is exactly what
-// QueryAsOf's scatter-gather needs: a shard whose clock is behind `as_of`
-// simply answers with its latest state — correct, because it had no
-// mutations in between (DESIGN.md §14).
+// passed down as the explicit clock of the wal::Record the router hands
+// the shard's Apply, and stamped into the contract's [valid_from, valid_to)
+// period and WAL record. Per-shard clocks are therefore sparse but mutually
+// comparable, which is exactly what QueryAsOf's scatter-gather needs: a
+// shard whose clock is behind `as_of` simply answers with its latest state
+// — correct, because it had no mutations in between (DESIGN.md §14).
 //
 // Durability. Each shard is a full broker::DurableDatabase with its own WAL
 // and checkpoint directory — its own group-commit writer, its own fsync
@@ -62,7 +62,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -225,14 +224,21 @@ class ShardedDatabase : public broker::Broker {
                   std::unique_ptr<util::ThreadPool> pool,
                   ShardedRecoveryStats recovery_stats);
 
-  /// Unregister and Replace's shared route step: runs `op(shard, local id,
-  /// clock)` on the shard owning global `id` at the next global clock, then
-  /// resyncs the clock (even on failure — a WAL-append error still ticked
-  /// the shard). NotFound, from the route table or the shard, names the
-  /// global id; other errors pass through. Caller holds route_mutex_.
-  Result<uint64_t> MutateLocked(
-      uint32_t id, const std::function<Result<uint64_t>(
-                       broker::DurableDatabase*, uint32_t, uint64_t)>& op);
+  /// \brief The one routed mutation step: every Broker mutation is a batch
+  /// of wal::Records with global ids through here.
+  ///
+  /// Pre-parses the texts of a multi-record batch (it can span shards);
+  /// routes each record — a Register to the shard owning the lowest next
+  /// global id, Unregister/Replace to shard(id) — at the next global
+  /// clocks; applies each shard's sub-batch with DurableDatabase::Apply
+  /// (in parallel when several shards have one); resyncs the route table
+  /// and clock from the shards, even on failure; writes global ids and
+  /// clocks back; and broadcasts Register/Replace events. A single
+  /// record's error reads as the unsharded database's (NotFound names the
+  /// global id); a batch's shard errors name their shard. `stats` is filled
+  /// for a single record only.
+  Status Route(std::vector<wal::Record>* records,
+               broker::RegistrationStats* stats);
 
   /// Interns every event cited by shard `from`'s contract `local_id` into
   /// all other shards. Caller holds route_mutex_.

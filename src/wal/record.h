@@ -20,6 +20,11 @@
 // sequence the checkpoint image covers and `snapshot_path` the checkpoint
 // file's name within the WAL directory (clock/contract_id are zero).
 //
+// A mutation record is also the value every write travels in below
+// broker::Broker (ContractDatabase::Apply, DurableDatabase::Apply, the
+// sharded router): a `clock` of 0 asks the database for its next tick, and
+// Apply writes the assigned contract id and clock back before logging.
+//
 // Decoding is hostile-input safe: any framing or structural violation comes
 // back as Status::Corruption, never a crash or overread (fuzzed by
 // tools/fuzz/fuzz_wal).
@@ -47,6 +52,21 @@ enum class RecordType : uint8_t {
 inline constexpr bool IsMutationType(RecordType type) {
   return type == RecordType::kRegister || type == RecordType::kUnregister ||
          type == RecordType::kReplace;
+}
+
+/// "register", "checkpoint", "unregister" or "replace".
+inline constexpr const char* RecordTypeName(RecordType type) {
+  switch (type) {
+    case RecordType::kRegister:
+      return "register";
+    case RecordType::kCheckpoint:
+      return "checkpoint";
+    case RecordType::kUnregister:
+      return "unregister";
+    case RecordType::kReplace:
+      return "replace";
+  }
+  return "record";
 }
 
 /// One logical log record (see the format comment above).

@@ -243,6 +243,13 @@ TEST_F(DatabaseTest, RegisterBatchIsAtomicOnError) {
   };
   EXPECT_FALSE(db.RegisterBatch(entries, 2).ok());
   EXPECT_EQ(db.size(), 1u);  // nothing from the failed batch
+
+  // Nor its events: "phantom" was interned while parsing the first entry,
+  // and must not outlive the failed batch — not even once a later
+  // registration publishes the vocabulary.
+  EXPECT_FALSE(db.RegisterBatch({{"x", "F phantom"}, {"y", "G ("}}).ok());
+  ASSERT_TRUE(db.Register("next", "F p").ok());
+  EXPECT_TRUE(db.Query("F phantom").status().IsNotFound());
 }
 
 TEST_F(DatabaseTest, ZeroThreadsInheritsDatabaseDefault) {
@@ -323,12 +330,21 @@ TEST_F(DatabaseTest, FailedRegistrationLeavesSnapshotUntouched) {
                                   Bitset(), /*valid_from=*/2)
                    .ok());
 
+  // Parse error after a new event: "ghost" is interned before the parser
+  // fails.
+  EXPECT_FALSE(db.Register("bad", "F ghost & (").ok());
+
   // Queries keep observing the exact pre-failure state.
   EXPECT_EQ(before.get(), db.Snapshot().get());
   EXPECT_EQ(db.size(), 1u);
   const QueryResult r = MustQuery(&db, "F q");
   EXPECT_EQ(r.matches, (std::vector<uint32_t>{0}));
   EXPECT_EQ(r.stats.database_size, 1u);
+
+  // The failed registration's events stay unobservable after the next
+  // successful one publishes the vocabulary.
+  ASSERT_TRUE(db.Register("b", "F p").ok());
+  EXPECT_TRUE(db.Query("F ghost").status().IsNotFound());
 }
 
 TEST_F(DatabaseTest, InternEventPublishesImmediately) {

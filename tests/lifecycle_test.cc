@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/database.h"
@@ -15,6 +17,8 @@
 #include "broker/persistence.h"
 #include "shard/sharded.h"
 #include "testing/temp_dir.h"
+#include "util/file_util.h"
+#include "wal/record.h"
 
 namespace ctdb {
 namespace {
@@ -83,6 +87,26 @@ TEST(LifecycleTest, ReplaceRejectsMalformedSpecLeavingContractIntact) {
   EXPECT_EQ(db.contract(0).ltl_text, "F pay");
   EXPECT_EQ(db.last_sequence(), 1u);  // failed replace does not tick
   EXPECT_EQ(Matches(db, "F pay"), (std::vector<uint32_t>{0}));
+
+  // A failed replace leaves no event behind either, in memory or durably,
+  // before and after a restart.
+  EXPECT_FALSE(db.Replace(0, "F ghost & (").ok());
+  ASSERT_TRUE(db.Register("b", "F pay").ok());
+  EXPECT_TRUE(db.Query("F ghost").status().IsNotFound());
+
+  testing::TempDir dir("lcghost");
+  for (int open = 0; open < 2; ++open) {
+    auto durable = broker::DurableDatabase::Open(dir.path() + "/wal");
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    if (open == 0) {
+      ASSERT_TRUE((*durable)->Register("a", "F pay").ok());
+      EXPECT_FALSE((*durable)->Replace(0, "F ghost & (").ok());
+      ASSERT_TRUE((*durable)->Register("b", "F pay").ok());
+    }
+    EXPECT_TRUE((*durable)->Query("F ghost").status().IsNotFound())
+        << "open " << open;
+    EXPECT_TRUE((*durable)->Close().ok());
+  }
 }
 
 TEST(LifecycleTest, QueryAsOfSeesEveryHistoricalState) {
@@ -182,7 +206,124 @@ TEST(LifecycleTest, DurableLifecycleSurvivesReopen) {
   auto historic = (*db)->QueryAsOf(2, "F pay");
   ASSERT_TRUE(historic.ok());
   EXPECT_EQ(historic->matches, (std::vector<uint32_t>{0, 1}));
+
+  // One segment (the one this open writes) that registers a contract,
+  // replaces it, unregisters it and registers another: its replay is one
+  // mixed Apply.
+  ASSERT_TRUE((*db)->Register("c", "F pay").ok());
+  ASSERT_TRUE((*db)->Replace(2, "G !pay & F ship").ok());
+  ASSERT_TRUE((*db)->Unregister(2).ok());
+  ASSERT_TRUE((*db)->Register("d", "F ship").ok());
+  const std::vector<std::string> queries = {"F pay", "G !pay", "F ship"};
+  auto observe = [&](const broker::DurableDatabase& d) {
+    std::ostringstream image;
+    EXPECT_TRUE(broker::SaveSnapshot(*d.Snapshot(), &image).ok());
+    std::vector<std::vector<uint32_t>> as_of;
+    for (uint64_t s = 1; s <= d.last_sequence(); ++s) {
+      for (const std::string& q : queries) {
+        as_of.push_back(Matches(d.database(), q, s));
+      }
+    }
+    return std::make_pair(image.str(), as_of);
+  };
+  const auto live = observe(**db);
   EXPECT_TRUE((*db)->Close().ok());
+  auto reopened = broker::DurableDatabase::Open(dir.path() + "/wal");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto replayed = observe(**reopened);
+  EXPECT_TRUE(replayed.first == live.first)
+      << "replayed image differs from the live one";
+  EXPECT_EQ(replayed.second, live.second);
+  EXPECT_EQ((*reopened)->last_sequence(), 8u);
+  EXPECT_TRUE((*reopened)->Close().ok());
+}
+
+TEST(LifecycleTest, MixedApplyBatchEqualsSingleMutations) {
+  // One Apply of a mixed batch — including a Replace and an Unregister of
+  // contracts registered earlier in the same batch — lands exactly where
+  // the same mutations one call at a time do.
+  ContractDatabase single;
+  ASSERT_TRUE(single.Register("a", "F pay").ok());
+  ASSERT_TRUE(single.Register("b", "G !pay").ok());
+  ASSERT_TRUE(single.Replace(0, "F ship").ok());
+  ASSERT_TRUE(single.Unregister(1).ok());
+  ASSERT_TRUE(single.Register("c", "F pay & F ship").ok());
+
+  ContractDatabase batched;
+  std::vector<wal::Record> batch = {
+      wal::Record::Register(0, 0, 0, "a", "F pay"),
+      wal::Record::Register(0, 0, 0, "b", "G !pay"),
+      wal::Record::Replace(0, 0, 0, "F ship"),
+      wal::Record::Unregister(0, 0, 1),
+      wal::Record::Register(0, 0, 0, "c", "F pay & F ship"),
+  };
+  ASSERT_TRUE(batched.Apply(&batch, 2).ok());
+  // Ids and clocks are written back into the records.
+  const std::vector<uint32_t> ids = {0, 1, 0, 1, 2};
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].contract_id, ids[i]) << "record " << i;
+    EXPECT_EQ(batch[i].clock, i + 1) << "record " << i;
+  }
+  std::ostringstream want, got;
+  ASSERT_TRUE(broker::SaveSnapshot(*single.Snapshot(), &want).ok());
+  ASSERT_TRUE(broker::SaveSnapshot(*batched.Snapshot(), &got).ok());
+  EXPECT_TRUE(want.str() == got.str());
+}
+
+TEST(LifecycleTest, DurableMixedBatchIsAllOrNothing) {
+  testing::TempDir dir("lcatomic");
+  const std::string wal_dir = dir.path() + "/wal";
+  auto db = broker::DurableDatabase::Open(wal_dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Register("a", "F pay").ok());
+  ASSERT_TRUE((*db)->Register("b", "G !pay").ok());
+  // Every file of the WAL directory, names and bytes.
+  auto log_image = [&] {
+    std::string image;
+    auto names = util::ListDir(wal_dir);
+    EXPECT_TRUE(names.ok());
+    std::sort(names->begin(), names->end());
+    for (const std::string& name : *names) {
+      auto bytes = util::ReadFileToString(wal_dir + "/" + name);
+      EXPECT_TRUE(bytes.ok());
+      image += name + ":" + *bytes;
+    }
+    return image;
+  };
+
+  // Each batch fails on its last record, after records that would register
+  // a contract citing a brand-new event and retire another.
+  const std::vector<std::vector<wal::Record>> failing = {
+      // Replace of an id the same batch unregistered.
+      {wal::Record::Register(0, 0, 0, "x", "F fresh"),
+       wal::Record::Unregister(0, 0, 0),
+       wal::Record::Replace(0, 0, 0, "G fresh")},
+      // An explicit clock that does not advance.
+      {wal::Record::Register(0, 0, 0, "y", "F novel"),
+       wal::Record::Replace(0, 0, 1, "F novel"),
+       wal::Record::Unregister(0, 3, 1)},
+  };
+  for (std::vector<wal::Record> batch : failing) {
+    const auto before = (*db)->Snapshot();
+    const size_t vocabulary = before->vocabulary().size();
+    const std::string log = log_image();
+    const Status status = (*db)->Apply(&batch);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ((*db)->Snapshot().get(), before.get());
+    EXPECT_EQ((*db)->database().vocabulary().size(), vocabulary);
+    EXPECT_EQ((*db)->op_count(), 2u);
+    EXPECT_EQ((*db)->last_sequence(), 2u);
+    EXPECT_TRUE(log_image() == log) << "the failed batch reached the log";
+  }
+  EXPECT_TRUE((*db)->Query("F fresh").status().IsNotFound());
+  EXPECT_TRUE((*db)->Close().ok());
+
+  // Nothing reached the log: a reopen replays the two registrations only.
+  auto reopened = broker::DurableDatabase::Open(wal_dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->op_count(), 2u);
+  EXPECT_EQ((*reopened)->recovery_stats().records_replayed, 2u);
+  EXPECT_TRUE((*reopened)->Close().ok());
 }
 
 TEST(LifecycleTest, CheckpointRetentionRaisesTheAsOfFloor) {

@@ -168,11 +168,13 @@ TEST(ObsTraceTest, GoldenRegistrationTraceSkeleton) {
 
   const std::vector<TraceEvent> events = sink.Events();
   EXPECT_TRUE(ValidateTrace(events).empty());
+  // Build (translate, automaton, projections), then install (prefilter
+  // insert): Apply installs only once every contract of the batch built.
   const std::vector<std::string> golden = {
       "translate(register)",
       "register.projections(register.automaton)",
-      "register.prefilter_insert(register.automaton)",
       "register.automaton(register)",
+      "register.prefilter_insert(register)",
       "register(-)",
   };
   EXPECT_EQ(Skeleton(events), golden);
