@@ -70,16 +70,16 @@ void BM_LtlToBuchi_Cached(benchmark::State& state) {
   const size_t patterns = static_cast<size_t>(state.range(0));
   ltl::FormulaFactory* factory = nullptr;
   const auto& formulas = FormulaPool(patterns, &factory);
-  translate::TranslationCache cache(256);
+  translate::TranslationCache<> cache(256);
   for (const ltl::Formula* formula : formulas) {
     benchmark::DoNotOptimize(
-        translate::LtlToBuchiCached(formula, factory, &cache));
+        translate::TranslateCached(formula, factory, &cache));
   }
   const translate::TranslationCacheStats warm = cache.Stats();
   size_t i = 0;
   for (auto _ : state) {
-    auto ba = translate::LtlToBuchiCached(formulas[i % formulas.size()],
-                                          factory, &cache);
+    auto ba = translate::TranslateCached(formulas[i % formulas.size()],
+                                         factory, &cache);
     benchmark::DoNotOptimize(ba);
     ++i;
   }

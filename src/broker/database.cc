@@ -14,7 +14,7 @@ namespace ctdb::broker {
 ContractDatabase::ContractDatabase(const DatabaseOptions& options)
     : options_(options),
       prefilter_(options.prefilter),
-      translation_cache_(std::make_shared<translate::TranslationCache>(
+      translation_cache_(std::make_shared<QueryCache>(
           options.translation_cache_capacity)) {
   Publish();  // the empty snapshot, so Snapshot() is never null
 }

@@ -265,8 +265,9 @@ class ContractDatabase {
   obs::MetricsSnapshot MetricsSnapshot() const;
 
   /// Cumulative counters of the shared query-translation cache
-  /// (translate/cache.h). All zeros (capacity included) when the cache was
-  /// disabled via DatabaseOptions::translation_cache_capacity = 0.
+  /// (translate/cache.h; entries are broker/compiled_query.h). All zeros
+  /// (capacity included) when the cache was disabled via
+  /// DatabaseOptions::translation_cache_capacity = 0.
   translate::TranslationCacheStats TranslationCacheStats() const {
     return translation_cache_->Stats();
   }
@@ -339,7 +340,7 @@ class ContractDatabase {
   /// Shared query-translation cache, created once at construction and handed
   /// to every published snapshot (internally synchronized; see
   /// translate/cache.h). Never null.
-  std::shared_ptr<translate::TranslationCache> translation_cache_;
+  std::shared_ptr<QueryCache> translation_cache_;
   /// The vocabulary copy the last published snapshot points at; reused by
   /// Publish while no new event was interned (the vocabulary is
   /// append-only, so equal size ⇒ identical contents).

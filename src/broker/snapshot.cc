@@ -18,7 +18,7 @@ size_t ResolveThreads(size_t requested, const DatabaseOptions& options) {
 }
 
 struct DatabaseSnapshot::Plan {
-  std::shared_ptr<const automata::Buchi> ba;
+  std::shared_ptr<const CompiledQuery> query;
   Bitset events;  ///< the events the query cites
   std::vector<const Contract*> candidates;  ///< sorted by id
 };
@@ -123,28 +123,32 @@ Status DatabaseSnapshot::PlanQuery(const ltl::Formula* query,
   // of the tableau pipeline. The miss path opens its own "translate" span.
   Timer phase;
   CTDB_ASSIGN_OR_RETURN(
-      plan->ba, translate::LtlToBuchiCached(query, factory,
-                                            translation_cache_.get(),
-                                            options_.translate, nullptr,
-                                            &stats->translate_cache_hit));
+      plan->query,
+      translate::TranslateCached(query, factory, translation_cache_.get(),
+                                 options_.translate, nullptr,
+                                 &stats->translate_cache_hit));
   stats->translate_ms = phase.ElapsedMillis();
-  stats->query_states = plan->ba->StateCount();
-  stats->query_transitions = plan->ba->TransitionCount();
-  plan->events = plan->ba->CitedEvents();
+  const automata::Buchi& ba = plan->query->ba;
+  stats->query_states = ba.StateCount();
+  stats->query_transitions = ba.TransitionCount();
+  plan->events = ba.CitedEvents();
 
   // 2. Candidates. A live view goes through the prefilter (§4): the
   // condition's hits among the live contracts — dead ones are scrubbed from
   // the index by Unregister/Replace, but exactness must not hinge on index
-  // hygiene. The prefilter indexes only live contracts, so a historical
-  // view is a full scan: exactness wins over speed for audit queries.
+  // hygiene. The condition is extracted once per cache entry (on its first
+  // prefiltered use) and its hits are evaluated against this snapshot's
+  // index every time. The prefilter indexes only live contracts, so a
+  // historical view is a full scan: exactness wins over speed for audit
+  // queries.
   phase.Reset();
   stats->database_size = view.contracts.size();
   if (view.latest) {
     CTDB_OBS_SPAN(prefilter_span, "query.prefilter");
     if (options.use_prefilter && options_.build_prefilter) {
       const Bitset hits =
-          index::ExtractPruningCondition(*plan->ba, options.pruning)
-              .Evaluate(prefilter_);
+          plan->query->PruningCondition(options.pruning, &stats->extract_ms)
+              ->Evaluate(prefilter_);
       for (const Contract* c : view.contracts) {
         if (hits.Test(c->id)) plan->candidates.push_back(c);
       }
@@ -178,7 +182,7 @@ void DatabaseSnapshot::CheckShard(const Plan& plan,
     // Seed states were computed on the registered automaton; the quotient
     // has different state ids, so only pass them through when applicable.
     const Bitset* seeds = use_projection ? nullptr : &contract->seed_states;
-    if (!core::Permits(contract_ba, contract->events, *plan.ba,
+    if (!core::Permits(contract_ba, contract->events, plan.query->ba,
                        options.permission, seeds, &out->stats)) {
       continue;
     }
@@ -188,7 +192,7 @@ void DatabaseSnapshot::CheckShard(const Plan& plan,
       // projection's labels are projected, so its runs are not directly
       // presentable contract behavior.
       auto witness = core::FindWitness(contract->automaton(), contract->events,
-                                       *plan.ba);
+                                       plan.query->ba);
       out->witnesses.push_back(witness.has_value() ? std::move(*witness)
                                                    : LassoWord{});
     }

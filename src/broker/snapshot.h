@@ -31,6 +31,7 @@
 #include "automata/buchi.h"
 #include "base/run.h"
 #include "base/vocabulary.h"
+#include "broker/compiled_query.h"
 #include "broker/contract.h"
 #include "broker/history.h"
 #include "broker/stats.h"
@@ -39,7 +40,6 @@
 #include "index/pruning.h"
 #include "ltl/formula.h"
 #include "projection/store.h"
-#include "translate/cache.h"
 #include "translate/ltl_to_ba.h"
 #include "util/result.h"
 
@@ -72,10 +72,13 @@ struct DatabaseOptions {
   translate::TranslateOptions translate;
 
   /// Entry budget for the shared query-translation cache
-  /// (translate/cache.h): repeated query structures skip the tableau
-  /// pipeline entirely. 0 disables caching (every query translates afresh —
-  /// the paper-faithful ablation baseline). Registration-side translations
-  /// never consult the cache; it serves the read path only.
+  /// (translate/cache.h): each entry holds one query's compiled artefacts
+  /// (broker/compiled_query.h) — its automaton and pruning condition — so
+  /// repeated query structures skip the tableau pipeline and condition
+  /// extraction entirely. 0 disables caching (every query translates and
+  /// extracts afresh — the paper-faithful ablation baseline).
+  /// Registration-side translations never consult the cache; it serves the
+  /// read path only.
   size_t translation_cache_capacity = 256;
 
   /// Default concurrency for the database's parallel phases (registration
@@ -291,9 +294,10 @@ class DatabaseSnapshot {
       ltl::FormulaFactory* factory, const QueryOptions& options,
       util::ThreadPool* pool) const;
 
-  /// Translates `query` (into `factory`, through the translation cache) and
-  /// selects its candidates from `view`; fills the plan-phase stats (adding
-  /// to prefilter_ms).
+  /// Compiles `query` (into `factory`, through the translation cache) and
+  /// selects its candidates from `view` — on the live view, the hits of its
+  /// cached pruning condition; fills the plan-phase stats (adding to
+  /// prefilter_ms).
   Status PlanQuery(const ltl::Formula* query, ltl::FormulaFactory* factory,
                    const AsOfView& view, const QueryOptions& options,
                    Plan* plan, QueryStats* stats) const;
@@ -316,12 +320,12 @@ class DatabaseSnapshot {
       std::make_shared<HistoryStore>();
   index::PrefilterIndex prefilter_;
   /// The database's shared query-translation cache (translate/cache.h),
-  /// handed to every published snapshot: a formula translated through one
+  /// handed to every published snapshot: a formula compiled through one
   /// snapshot is a hit for queries on any other. Null or disabled ⇒ every
-  /// query translates afresh. The cache is internally synchronized, so
-  /// sharing it does not compromise snapshot immutability — cached automata
-  /// are immutable values behind shared_ptr.
-  std::shared_ptr<translate::TranslationCache> translation_cache_;
+  /// query compiles afresh. The cache is internally synchronized, and its
+  /// entries depend on no database state, so sharing it does not
+  /// compromise snapshot immutability.
+  std::shared_ptr<QueryCache> translation_cache_;
 };
 
 }  // namespace ctdb::broker

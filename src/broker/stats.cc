@@ -20,6 +20,7 @@ void RecordQueryStats(const QueryStats& stats) {
   CTDB_OBS_COUNT("broker.matches", stats.matches);
   CTDB_OBS_HIST("broker.query.translate_us", MillisToMicros(stats.translate_ms));
   CTDB_OBS_HIST("broker.query.prefilter_us", MillisToMicros(stats.prefilter_ms));
+  CTDB_OBS_HIST("broker.query.extract_us", MillisToMicros(stats.extract_ms));
   CTDB_OBS_HIST("broker.query.permission_us",
                 MillisToMicros(stats.permission_ms));
   CTDB_OBS_HIST("broker.query.total_us", MillisToMicros(stats.total_ms));
@@ -44,9 +45,10 @@ void RecordRegistrationStats(const RegistrationStats& stats) {
 
 std::string QueryStats::ToString() const {
   return StringFormat(
-      "total=%.2fms translate=%.2fms prefilter=%.2fms permission=%.2fms "
-      "db=%zu candidates=%zu matches=%zu query_ba=%zus/%zut",
-      total_ms, translate_ms, prefilter_ms, permission_ms, database_size,
+      "total=%.2fms translate=%.2fms prefilter=%.2fms (extract=%.2fms) "
+      "permission=%.2fms db=%zu candidates=%zu matches=%zu query_ba=%zus/%zut",
+      total_ms, translate_ms, prefilter_ms, extract_ms, permission_ms,
+      database_size,
       candidates, matches, query_states, query_transitions);
 }
 

@@ -14,6 +14,9 @@ namespace ctdb::broker {
 struct QueryStats {
   double translate_ms = 0;   ///< LTL → BA conversion (counted in both modes)
   double prefilter_ms = 0;   ///< condition extraction + index evaluation
+  /// The extraction part of prefilter_ms: Algorithm 1 run by this query; 0
+  /// when the condition came from the translation cache entry.
+  double extract_ms = 0;
   double permission_ms = 0;  ///< permission checks over candidates
   double total_ms = 0;
 

@@ -64,6 +64,8 @@ struct PruningOptions {
   /// number of cycles collected per knot before falling back.
   size_t max_cycle_length = 12;
   size_t max_cycles_per_knot = 64;
+
+  bool operator==(const PruningOptions&) const = default;
 };
 
 /// \brief Computes the pruning condition of `query` (Algorithm 1).

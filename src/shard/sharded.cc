@@ -463,6 +463,7 @@ Result<std::vector<broker::QueryResult>> ShardedDatabase::QueryBatch(
       m.matches += s.matches;
       m.translate_ms = std::max(m.translate_ms, s.translate_ms);
       m.prefilter_ms = std::max(m.prefilter_ms, s.prefilter_ms);
+      m.extract_ms = std::max(m.extract_ms, s.extract_ms);
       m.permission_ms += s.permission_ms;
       m.translate_cache_hit = m.translate_cache_hit || s.translate_cache_hit;
     }

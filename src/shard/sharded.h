@@ -146,11 +146,12 @@ class ShardedDatabase : public broker::Broker {
 
   /// Evaluates the query on every shard in parallel and merges: matches
   /// (and their witnesses) re-mapped to global ids, ascending; candidate /
-  /// match / database-size counts summed; translate_ms and prefilter_ms the
-  /// max across shards (they run in parallel); permission_ms the sum (CPU
-  /// view); total_ms the scatter-gather wall time. Error parity: an error
-  /// (parse failure, unknown event) is returned as the lowest-numbered
-  /// shard's status — the broadcast vocabulary makes all shards agree.
+  /// match / database-size counts summed; translate_ms, prefilter_ms and
+  /// extract_ms the max across shards (they run in parallel);
+  /// permission_ms the sum (CPU view); total_ms the scatter-gather wall
+  /// time. Error parity: an error (parse failure, unknown event) is
+  /// returned as the lowest-numbered shard's status — the broadcast
+  /// vocabulary makes all shards agree.
   Result<broker::QueryResult> Query(
       std::string_view ltl_text,
       const broker::QueryOptions& options = {}) const override;

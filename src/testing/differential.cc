@@ -104,14 +104,36 @@ void Iteration::Run() {
   queries_ = std::move(*queries);
 
   // Serial, fully indexed baseline every other configuration must match.
+  // Each query is asked twice: the first compiles it into the translation
+  // cache (a miss), the second reuses the cached automaton and pruning
+  // condition (a hit), and both must select the same candidates and
+  // matches.
   for (const std::string& q : queries_) {
-    auto r = db_->Query(q);
-    if (!r.ok()) {
+    auto fresh = db_->Query(q);
+    if (!fresh.ok()) {
       Report("pipeline", "baseline Query('" + q + "') failed: " +
-                             r.status().ToString());
+                             fresh.status().ToString());
       return;
     }
-    baseline_.push_back(std::move(r->matches));
+    auto cached = db_->Query(q);
+    if (!cached.ok()) {
+      Report("cached-vs-fresh", "cached Query('" + q + "') failed: " +
+                                    cached.status().ToString());
+      return;
+    }
+    if (options_.faults.corrupt_cached) {
+      cached->matches.push_back(kPhantomMatch);
+    }
+    ++report_->checks;
+    if (cached->stats.candidates != fresh->stats.candidates) {
+      Report("cached-vs-fresh",
+             "query '" + q + "': fresh " +
+                 std::to_string(fresh->stats.candidates) +
+                 " candidates, cached " +
+                 std::to_string(cached->stats.candidates));
+    }
+    CompareMatches("cached-vs-fresh", q, fresh->matches, cached->matches);
+    baseline_.push_back(std::move(fresh->matches));
   }
 
   CheckUnindexed();

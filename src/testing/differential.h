@@ -28,6 +28,7 @@ namespace ctdb::testing {
 /// Testing-the-tester hooks: each flag corrupts one side of one oracle, so a
 /// clean engine must report a mismatch for it (and only it).
 struct FaultInjection {
+  bool corrupt_cached = false;      ///< phantom match in the cache-hit answer
   bool corrupt_unindexed = false;   ///< phantom match in the full-scan answer
   bool corrupt_batch = false;       ///< phantom match in a QueryBatch answer
   bool corrupt_threaded = false;    ///< phantom match in the threads>1 answer
@@ -36,7 +37,8 @@ struct FaultInjection {
   bool break_metamorphic = false;   ///< add the F/G-swapping "transform"
 
   bool Any() const {
-    return corrupt_unindexed || corrupt_batch || corrupt_threaded ||
+    return corrupt_cached || corrupt_unindexed || corrupt_batch ||
+           corrupt_threaded ||
            corrupt_reloaded || flip_reference || break_metamorphic;
   }
 };

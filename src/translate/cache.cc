@@ -1,10 +1,8 @@
 #include "translate/cache.h"
 
 #include <cstring>
-#include <functional>
-#include <utility>
-
-#include "obs/metrics.h"
+#include <unordered_map>
+#include <vector>
 
 namespace ctdb::translate {
 
@@ -65,104 +63,6 @@ std::string CanonicalTranslationKey(const ltl::Formula* nnf,
   AppendU64(&out, options.tableau.max_nodes);
   AppendU64(&out, options.tableau.max_work);
   return out;
-}
-
-TranslationCache::TranslationCache(size_t capacity) : capacity_(capacity) {
-  if (capacity_ == 0) return;
-  const size_t shard_count = capacity_ < 64 ? 1 : 8;
-  shards_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    auto shard = std::make_unique<Shard>();
-    // Distribute the budget; earlier shards absorb the remainder so the
-    // per-shard budgets sum exactly to `capacity`.
-    shard->max_entries =
-        capacity_ / shard_count + (i < capacity_ % shard_count ? 1 : 0);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-TranslationCache::Shard& TranslationCache::ShardOf(std::string_view key) {
-  return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
-}
-
-std::shared_ptr<const automata::Buchi> TranslationCache::Lookup(
-    std::string_view key) {
-  if (!enabled()) return nullptr;
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_key.find(key);
-  if (it == shard.by_key.end()) {
-    ++shard.misses;
-    CTDB_OBS_COUNT("translate_cache.misses", 1);
-    return nullptr;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
-  CTDB_OBS_COUNT("translate_cache.hits", 1);
-  return it->second->value;
-}
-
-void TranslationCache::Insert(std::string_view key,
-                              std::shared_ptr<const automata::Buchi> value) {
-  if (!enabled()) return;
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_key.find(key);
-  if (it != shard.by_key.end()) {
-    // Raced with another translator of the same formula: keep one value.
-    it->second->value = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.push_front(Entry{std::string(key), std::move(value)});
-  shard.by_key.emplace(std::string_view(shard.lru.front().key),
-                       shard.lru.begin());
-  while (shard.lru.size() > shard.max_entries) {
-    shard.by_key.erase(std::string_view(shard.lru.back().key));
-    shard.lru.pop_back();
-    ++shard.evictions;
-    CTDB_OBS_COUNT("translate_cache.evictions", 1);
-  }
-}
-
-TranslationCacheStats TranslationCache::Stats() const {
-  TranslationCacheStats stats;
-  stats.capacity = capacity_;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.evictions += shard->evictions;
-    stats.entries += shard->lru.size();
-  }
-  return stats;
-}
-
-Result<std::shared_ptr<const automata::Buchi>> LtlToBuchiCached(
-    const ltl::Formula* formula, ltl::FormulaFactory* factory,
-    TranslationCache* cache, const TranslateOptions& options,
-    TranslateInfo* info, bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  const ltl::Formula* nnf = NormalizeForTableau(formula, factory, options);
-  if (cache == nullptr || !cache->enabled()) {
-    CTDB_ASSIGN_OR_RETURN(automata::Buchi ba,
-                          NnfToBuchi(nnf, factory, options, info));
-    return std::make_shared<const automata::Buchi>(std::move(ba));
-  }
-  const std::string key = CanonicalTranslationKey(nnf, options);
-  if (std::shared_ptr<const automata::Buchi> hit = cache->Lookup(key)) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    if (info != nullptr) {
-      info->final_states = hit->StateCount();
-      info->final_transitions = hit->TransitionCount();
-    }
-    return hit;
-  }
-  CTDB_ASSIGN_OR_RETURN(automata::Buchi ba,
-                        NnfToBuchi(nnf, factory, options, info));
-  auto shared = std::make_shared<const automata::Buchi>(std::move(ba));
-  cache->Insert(key, shared);
-  return shared;
 }
 
 }  // namespace ctdb::translate

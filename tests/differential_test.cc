@@ -47,6 +47,14 @@ TEST(DifferentialTest, SameSeedReproducesSameCheckCount) {
   EXPECT_EQ(a.mismatches.size(), b.mismatches.size());
 }
 
+TEST(DifferentialTest, DetectsCorruptCachedAnswer) {
+  DiffOptions options = SmallOptions();
+  options.faults.corrupt_cached = true;
+  const DiffReport report = RunDifferential(options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(AnyOracle(report, "cached-vs-fresh"));
+}
+
 TEST(DifferentialTest, DetectsCorruptUnindexedAnswer) {
   DiffOptions options = SmallOptions();
   options.faults.corrupt_unindexed = true;

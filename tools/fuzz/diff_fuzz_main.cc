@@ -1,7 +1,9 @@
 // ctdb_diff_fuzz — seeded differential fuzzer for the full query pipeline.
 //
 // Each iteration builds a random contract database + query workload and
-// cross-checks indexed vs. unindexed answers, QueryBatch vs. serial Query,
+// cross-checks a query's cached answer (translation-cache hit) vs. its
+// first, freshly compiled one, indexed vs. unindexed answers, QueryBatch
+// vs. serial Query,
 // threads=N vs. threads=1, persistence save/load round-trips, core::Permits
 // vs. an independent product-automaton reference checker, and metamorphic
 // LTL rewrites. With --lifecycle it instead fuzzes the contract lifecycle:

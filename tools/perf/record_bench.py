@@ -10,7 +10,7 @@ bench to the root-level ``BENCH_<name>.json`` trajectory files:
       "unit": "ns",
       "entries": [
         {
-          "sha": "<git rev-parse HEAD>",
+          "sha": "<git rev-parse HEAD>[-dirty]",
           "date": "2026-08-09T12:00:00Z",
           "host": "<cpu model> x<cores>",
           "scale": 0.02,
@@ -29,6 +29,12 @@ document the hot path's trajectory PR by PR. Entries carry a host
 fingerprint because absolute times are only comparable on the same machine;
 compare_bench.py pairs each entry with the most recent prior entry from the
 same host.
+
+The sha names the commit the measured code came from. When tracked files
+differ from HEAD (``git status --porcelain --untracked-files=no`` prints
+anything), the measured code is not HEAD's, so the sha gets a ``-dirty``
+suffix: an entry recorded before its change is committed names the parent
+commit plus ``-dirty``, never the parent alone.
 
 Usage:
     tools/perf/record_bench.py [--build-dir build] [--repetitions 5]
@@ -53,10 +59,15 @@ def repo_root():
 
 
 def git_sha(root):
+    """HEAD's sha, with "-dirty" appended when tracked files are modified."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
+        sha = git("rev-parse", "HEAD")
+        if git("status", "--porcelain", "--untracked-files=no"):
+            sha += "-dirty"
+        return sha
     except (subprocess.CalledProcessError, FileNotFoundError):
         return "unknown"
 
