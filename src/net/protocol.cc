@@ -6,17 +6,8 @@ namespace ctdb::net {
 
 namespace {
 
-using util::CountFits;
-using util::GetString;
-using util::GetU32;
-using util::GetU64;
-using util::GetU8;
-using util::PutString;
-using util::PutU32;
-using util::PutU64;
-using util::PutU8;
-
-Status Corrupt(const char* what) { return Status::Corruption(what); }
+using util::codec::Reader;
+using util::codec::Writer;
 
 /// A request of `kind` with correlation id `id` and an empty body.
 Request Blank(MsgKind kind, uint64_t id) {
@@ -26,47 +17,99 @@ Request Blank(MsgKind kind, uint64_t id) {
   return r;
 }
 
-/// ids := u32 count · count × u32 (contract ids, matches).
-void PutIds(std::string* out, const std::vector<uint32_t>& ids) {
-  PutU32(out, static_cast<uint32_t>(ids.size()));
-  for (uint32_t id : ids) PutU32(out, id);
+/// List elements: u32 ids and str names.
+constexpr auto kU32 = [](auto& io, auto& v) { return io.U32(v); };
+constexpr auto kStr = [](auto& io, auto& s) { return io.Str(s); };
+
+/// verdicts := u32 count · count × (u32 contract id · u8 verdict)
+template <class Io, class Verdicts>
+bool VerdictList(Io& io, Verdicts& verdicts) {
+  return io.List(verdicts, 5, [](auto& io, auto& v) {
+    return io.U32(v.contract_id) &&
+           io.Enum(v.verdict, monitor::StreamVerdict::kUndetermined,
+                   monitor::StreamVerdict::kViolated);
+  });
 }
 
-bool GetIds(std::string_view data, size_t* offset,
-            std::vector<uint32_t>* ids) {
-  uint32_t count = 0;
-  if (!GetU32(data, offset, &count) || !CountFits(data, *offset, count, 4)) {
+/// The request payload schema (protocol.h): header, then body(kind).
+template <class Io, class R>
+bool RequestPayload(Io& io, R& r) {
+  if (!io.Enum(r.kind, MsgKind::kRegister, MsgKind::kStreamClose) ||
+      !io.U64(r.id)) {
     return false;
   }
-  ids->resize(count);
-  for (uint32_t& id : *ids) GetU32(data, offset, &id);  // fits: checked above
+  switch (r.kind) {
+    case MsgKind::kRegister:
+      return io.Str(r.name) && io.Str(r.ltl);
+    case MsgKind::kRegisterBatch:
+      return io.List(r.entries, 8, [](auto& io, auto& entry) {
+        return io.Str(entry.name) && io.Str(entry.ltl);
+      });
+    case MsgKind::kQuery:
+      return io.Str(r.ltl) && io.U64(r.as_of);
+    case MsgKind::kQueryBatch:
+      return io.List(r.queries, 4, kStr) && io.U64(r.as_of);
+    case MsgKind::kUnregister:
+      return io.U32(r.contract_id);
+    case MsgKind::kReplace:
+      return io.U32(r.contract_id) && io.Str(r.ltl);
+    case MsgKind::kStreamOpen:
+      return io.Str(r.name) && io.U64(r.as_of);
+    case MsgKind::kStreamAppend:
+      return io.Str(r.name) &&
+             io.List(r.events, 4, [](auto& io, auto& instant) {
+               return io.List(instant, 4, kStr);
+             });
+    case MsgKind::kStreamClose:
+      return io.Str(r.name);
+    case MsgKind::kCheckpoint:
+    case MsgKind::kStats:
+    case MsgKind::kResponse:
+      break;
+  }
   return true;
 }
 
-void PutVerdicts(std::string* out,
-                 const std::vector<monitor::VerdictDelta>& verdicts) {
-  PutU32(out, static_cast<uint32_t>(verdicts.size()));
-  for (const monitor::VerdictDelta& v : verdicts) {
-    PutU32(out, v.contract_id);
-    PutU8(out, static_cast<uint8_t>(v.verdict));
-  }
-}
-
-bool GetVerdicts(std::string_view data, size_t* offset,
-                 std::vector<monitor::VerdictDelta>* verdicts) {
-  uint32_t count = 0;
-  if (!GetU32(data, offset, &count) || !CountFits(data, *offset, count, 5)) {
+/// The response payload schema (protocol.h): header, then
+/// body(request_kind) when the status is OK.
+template <class Io, class R>
+bool ResponsePayload(Io& io, R& r) {
+  MsgKind kind = MsgKind::kResponse;
+  if (!io.Enum(kind, MsgKind::kResponse, MsgKind::kResponse) ||
+      !io.U64(r.id) ||
+      !io.Enum(r.request_kind, MsgKind::kRegister, MsgKind::kStreamClose) ||
+      !io.Enum(r.code, StatusCode::kOk, StatusCode::kUnavailable) ||
+      !io.Str(r.message)) {
     return false;
   }
-  verdicts->resize(count);
-  for (monitor::VerdictDelta& v : *verdicts) {
-    uint8_t verdict = 0;
-    if (!GetU32(data, offset, &v.contract_id) ||
-        !GetU8(data, offset, &verdict) ||
-        verdict > static_cast<uint8_t>(monitor::StreamVerdict::kViolated)) {
-      return false;
-    }
-    v.verdict = static_cast<monitor::StreamVerdict>(verdict);
+  if (r.code != StatusCode::kOk) return true;
+  switch (r.request_kind) {
+    case MsgKind::kRegister:
+    case MsgKind::kRegisterBatch:
+      return io.List(r.ids, 4, kU32);
+    case MsgKind::kQuery:
+    case MsgKind::kQueryBatch:
+      return io.List(r.answers, 20, [](auto& io, auto& answer) {
+        return io.List(answer.matches, 4, kU32) &&
+               io.U64(answer.total_us) && io.U64(answer.candidates);
+      });
+    case MsgKind::kCheckpoint:
+    case MsgKind::kUnregister:
+    case MsgKind::kReplace:
+      return io.U64(r.sequence);
+    case MsgKind::kStats:
+      return io.Str(r.stats_json);
+    case MsgKind::kStreamOpen:
+      return io.U64(r.sequence) && io.U32(r.tracked);
+    case MsgKind::kStreamAppend:
+      return io.U64(r.events) && io.U64(r.stepped) && io.U64(r.pruned) &&
+             VerdictList(io, r.verdicts);
+    case MsgKind::kStreamClose:
+      return io.U64(r.events) && io.U32(r.satisfied) &&
+             io.U32(r.violated) && io.U32(r.undetermined) &&
+             VerdictList(io, r.verdicts);
+    case MsgKind::kResponse:
+      break;
   }
   return true;
 }
@@ -158,320 +201,29 @@ Response Response::Error(const Request& request, const Status& status) {
 }
 
 std::string EncodeRequestPayload(const Request& request) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(request.kind));
-  PutU64(&out, request.id);
-  switch (request.kind) {
-    case MsgKind::kRegister:
-      PutString(&out, request.name);
-      PutString(&out, request.ltl);
-      break;
-    case MsgKind::kRegisterBatch:
-      PutU32(&out, static_cast<uint32_t>(request.entries.size()));
-      for (const Request::Entry& entry : request.entries) {
-        PutString(&out, entry.name);
-        PutString(&out, entry.ltl);
-      }
-      break;
-    case MsgKind::kQuery:
-      PutString(&out, request.ltl);
-      PutU64(&out, request.as_of);
-      break;
-    case MsgKind::kQueryBatch:
-      PutU32(&out, static_cast<uint32_t>(request.queries.size()));
-      for (const std::string& q : request.queries) PutString(&out, q);
-      PutU64(&out, request.as_of);
-      break;
-    case MsgKind::kUnregister:
-      PutU32(&out, request.contract_id);
-      break;
-    case MsgKind::kReplace:
-      PutU32(&out, request.contract_id);
-      PutString(&out, request.ltl);
-      break;
-    case MsgKind::kStreamOpen:
-      PutString(&out, request.name);
-      PutU64(&out, request.as_of);
-      break;
-    case MsgKind::kStreamAppend:
-      PutString(&out, request.name);
-      PutU32(&out, static_cast<uint32_t>(request.events.size()));
-      for (const std::vector<std::string>& instant : request.events) {
-        PutU32(&out, static_cast<uint32_t>(instant.size()));
-        for (const std::string& event : instant) PutString(&out, event);
-      }
-      break;
-    case MsgKind::kStreamClose:
-      PutString(&out, request.name);
-      break;
-    case MsgKind::kCheckpoint:
-    case MsgKind::kStats:
-    case MsgKind::kResponse:
-      break;
-  }
-  return out;
+  Writer out;
+  RequestPayload(out, request);
+  return std::move(out).Take();
+}
+
+std::string EncodeResponsePayload(const Response& response) {
+  Writer out;
+  ResponsePayload(out, response);
+  return std::move(out).Take();
 }
 
 Status DecodeRequestPayload(std::string_view payload, Request* request) {
   *request = Request();
-  size_t offset = 0;
-  uint8_t kind = 0;
-  if (!GetU8(payload, &offset, &kind) ||
-      !GetU64(payload, &offset, &request->id)) {
-    return Corrupt("request payload truncated in header");
-  }
-  if (!IsRequestKind(kind)) {
-    return Status::Corruption("unknown request kind " + std::to_string(kind));
-  }
-  request->kind = static_cast<MsgKind>(kind);
-  switch (request->kind) {
-    case MsgKind::kRegister:
-      if (!GetString(payload, &offset, &request->name) ||
-          !GetString(payload, &offset, &request->ltl)) {
-        return Corrupt("register request truncated");
-      }
-      break;
-    case MsgKind::kRegisterBatch: {
-      uint32_t count = 0;
-      if (!GetU32(payload, &offset, &count) ||
-          !CountFits(payload, offset, count, 8)) {
-        return Corrupt("register batch count exceeds payload");
-      }
-      request->entries.resize(count);
-      for (Request::Entry& entry : request->entries) {
-        if (!GetString(payload, &offset, &entry.name) ||
-            !GetString(payload, &offset, &entry.ltl)) {
-          return Corrupt("register batch entry truncated");
-        }
-      }
-      break;
-    }
-    case MsgKind::kQuery:
-      if (!GetString(payload, &offset, &request->ltl) ||
-          !GetU64(payload, &offset, &request->as_of)) {
-        return Corrupt("query request truncated");
-      }
-      break;
-    case MsgKind::kQueryBatch: {
-      uint32_t count = 0;
-      if (!GetU32(payload, &offset, &count) ||
-          !CountFits(payload, offset, count, 4)) {
-        return Corrupt("query batch count exceeds payload");
-      }
-      request->queries.resize(count);
-      for (std::string& q : request->queries) {
-        if (!GetString(payload, &offset, &q)) {
-          return Corrupt("query batch entry truncated");
-        }
-      }
-      if (!GetU64(payload, &offset, &request->as_of)) {
-        return Corrupt("query batch as_of truncated");
-      }
-      break;
-    }
-    case MsgKind::kUnregister:
-      if (!GetU32(payload, &offset, &request->contract_id)) {
-        return Corrupt("unregister request truncated");
-      }
-      break;
-    case MsgKind::kReplace:
-      if (!GetU32(payload, &offset, &request->contract_id) ||
-          !GetString(payload, &offset, &request->ltl)) {
-        return Corrupt("replace request truncated");
-      }
-      break;
-    case MsgKind::kStreamOpen:
-      if (!GetString(payload, &offset, &request->name) ||
-          !GetU64(payload, &offset, &request->as_of)) {
-        return Corrupt("stream open request truncated");
-      }
-      break;
-    case MsgKind::kStreamAppend: {
-      uint32_t count = 0;
-      if (!GetString(payload, &offset, &request->name) ||
-          !GetU32(payload, &offset, &count) ||
-          !CountFits(payload, offset, count, 4)) {
-        return Corrupt("stream append instant count exceeds payload");
-      }
-      request->events.resize(count);
-      for (std::vector<std::string>& instant : request->events) {
-        uint32_t names = 0;
-        if (!GetU32(payload, &offset, &names) ||
-            !CountFits(payload, offset, names, 4)) {
-          return Corrupt("stream append event count exceeds payload");
-        }
-        instant.resize(names);
-        for (std::string& event : instant) {
-          if (!GetString(payload, &offset, &event)) {
-            return Corrupt("stream append event truncated");
-          }
-        }
-      }
-      break;
-    }
-    case MsgKind::kStreamClose:
-      if (!GetString(payload, &offset, &request->name)) {
-        return Corrupt("stream close request truncated");
-      }
-      break;
-    case MsgKind::kCheckpoint:
-    case MsgKind::kStats:
-    case MsgKind::kResponse:
-      break;
-  }
-  if (offset != payload.size()) {
-    return Corrupt("trailing bytes after request body");
-  }
-  return Status::OK();
-}
-
-std::string EncodeResponsePayload(const Response& response) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MsgKind::kResponse));
-  PutU64(&out, response.id);
-  PutU8(&out, static_cast<uint8_t>(response.request_kind));
-  PutU8(&out, static_cast<uint8_t>(response.code));
-  PutString(&out, response.message);
-  if (response.code != StatusCode::kOk) return out;
-  switch (response.request_kind) {
-    case MsgKind::kRegister:
-    case MsgKind::kRegisterBatch:
-      PutIds(&out, response.ids);
-      break;
-    case MsgKind::kQuery:
-    case MsgKind::kQueryBatch:
-      PutU32(&out, static_cast<uint32_t>(response.answers.size()));
-      for (const Response::Answer& answer : response.answers) {
-        PutIds(&out, answer.matches);
-        PutU64(&out, answer.total_us);
-        PutU64(&out, answer.candidates);
-      }
-      break;
-    case MsgKind::kCheckpoint:
-    case MsgKind::kUnregister:
-    case MsgKind::kReplace:
-      PutU64(&out, response.sequence);
-      break;
-    case MsgKind::kStats:
-      PutString(&out, response.stats_json);
-      break;
-    case MsgKind::kStreamOpen:
-      PutU64(&out, response.sequence);
-      PutU32(&out, response.tracked);
-      break;
-    case MsgKind::kStreamAppend:
-      PutU64(&out, response.events);
-      PutU64(&out, response.stepped);
-      PutU64(&out, response.pruned);
-      PutVerdicts(&out, response.verdicts);
-      break;
-    case MsgKind::kStreamClose:
-      PutU64(&out, response.events);
-      PutU32(&out, response.satisfied);
-      PutU32(&out, response.violated);
-      PutU32(&out, response.undetermined);
-      PutVerdicts(&out, response.verdicts);
-      break;
-    case MsgKind::kResponse:
-      break;
-  }
-  return out;
+  Reader in(payload);
+  RequestPayload(in, *request);
+  return in.Finish("request payload");
 }
 
 Status DecodeResponsePayload(std::string_view payload, Response* response) {
   *response = Response();
-  size_t offset = 0;
-  uint8_t kind = 0, request_kind = 0, code = 0;
-  if (!GetU8(payload, &offset, &kind) ||
-      !GetU64(payload, &offset, &response->id) ||
-      !GetU8(payload, &offset, &request_kind) ||
-      !GetU8(payload, &offset, &code) ||
-      !GetString(payload, &offset, &response->message)) {
-    return Corrupt("response payload truncated in header");
-  }
-  if (kind != static_cast<uint8_t>(MsgKind::kResponse)) {
-    return Status::Corruption("not a response frame, kind " +
-                              std::to_string(kind));
-  }
-  if (!IsRequestKind(request_kind)) {
-    return Status::Corruption("response to unknown request kind " +
-                              std::to_string(request_kind));
-  }
-  if (code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
-    return Status::Corruption("unknown status code " + std::to_string(code));
-  }
-  response->request_kind = static_cast<MsgKind>(request_kind);
-  response->code = static_cast<StatusCode>(code);
-  if (response->code == StatusCode::kOk) {
-    switch (response->request_kind) {
-      case MsgKind::kRegister:
-      case MsgKind::kRegisterBatch:
-        if (!GetIds(payload, &offset, &response->ids)) {
-          return Corrupt("response id count exceeds payload");
-        }
-        break;
-      case MsgKind::kQuery:
-      case MsgKind::kQueryBatch: {
-        uint32_t count = 0;
-        if (!GetU32(payload, &offset, &count) ||
-            !CountFits(payload, offset, count, 20)) {
-          return Corrupt("answer count exceeds payload");
-        }
-        response->answers.resize(count);
-        for (Response::Answer& answer : response->answers) {
-          if (!GetIds(payload, &offset, &answer.matches)) {
-            return Corrupt("match count exceeds payload");
-          }
-          if (!GetU64(payload, &offset, &answer.total_us) ||
-              !GetU64(payload, &offset, &answer.candidates)) {
-            return Corrupt("answer stats truncated");
-          }
-        }
-        break;
-      }
-      case MsgKind::kCheckpoint:
-      case MsgKind::kUnregister:
-      case MsgKind::kReplace:
-        if (!GetU64(payload, &offset, &response->sequence)) {
-          return Corrupt("sequence response truncated");
-        }
-        break;
-      case MsgKind::kStats:
-        if (!GetString(payload, &offset, &response->stats_json)) {
-          return Corrupt("stats response truncated");
-        }
-        break;
-      case MsgKind::kStreamOpen:
-        if (!GetU64(payload, &offset, &response->sequence) ||
-            !GetU32(payload, &offset, &response->tracked)) {
-          return Corrupt("stream open response truncated");
-        }
-        break;
-      case MsgKind::kStreamAppend:
-        if (!GetU64(payload, &offset, &response->events) ||
-            !GetU64(payload, &offset, &response->stepped) ||
-            !GetU64(payload, &offset, &response->pruned) ||
-            !GetVerdicts(payload, &offset, &response->verdicts)) {
-          return Corrupt("stream append response truncated or bad verdict");
-        }
-        break;
-      case MsgKind::kStreamClose:
-        if (!GetU64(payload, &offset, &response->events) ||
-            !GetU32(payload, &offset, &response->satisfied) ||
-            !GetU32(payload, &offset, &response->violated) ||
-            !GetU32(payload, &offset, &response->undetermined) ||
-            !GetVerdicts(payload, &offset, &response->verdicts)) {
-          return Corrupt("stream close response truncated or bad verdict");
-        }
-        break;
-      case MsgKind::kResponse:
-        break;
-    }
-  }
-  if (offset != payload.size()) {
-    return Corrupt("trailing bytes after response body");
-  }
-  return Status::OK();
+  Reader in(payload);
+  ResponsePayload(in, *response);
+  return in.Finish("response payload");
 }
 
 std::string EncodeRequestFrame(const Request& request) {
@@ -492,7 +244,7 @@ Status DecodeRequestFrame(std::string_view data, size_t* offset,
   std::string_view payload;
   size_t pos = *offset;
   if (ScanFrame(data, &pos, &payload) != FrameScan::kFrame) {
-    return Corrupt("request frame invalid or incomplete");
+    return Status::Corruption("request frame invalid or incomplete");
   }
   CTDB_RETURN_NOT_OK(DecodeRequestPayload(payload, request));
   *offset = pos;

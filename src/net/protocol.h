@@ -50,6 +50,10 @@
 // answers each connection's requests in receive order, but clients should
 // not rely on that).
 //
+// The tables above are implemented once, by the schema function templates
+// RequestPayload and ResponsePayload in protocol.cc, which the Encode* side
+// walks with a util::codec::Writer and the Decode* side with a Reader.
+//
 // Decoding is hostile-input safe: a length prefix above kMaxFrameBytes is
 // rejected before any allocation, element counts are validated against the
 // bytes actually present before a vector is sized, and every structural

@@ -408,9 +408,7 @@ Result<std::unique_ptr<Server>> Server::Start(broker::Broker* db,
   server->wake_read_fd_ = pipe_fds[0];
   server->wake_write_fd_ = pipe_fds[1];
 
-  server->owned_pool_ =
-      std::make_unique<util::ThreadPool>(server->options_.workers);
-  server->pool_ = server->owned_pool_.get();
+  server->pool_ = std::make_unique<util::ThreadPool>(server->options_.workers);
   server->loop_ = std::make_unique<Loop>(server.get());
   server->loop_thread_ = std::thread([loop = server->loop_.get()] {
     loop->Run();
@@ -442,8 +440,7 @@ Status Server::Shutdown() {
   if (loop_thread_.joinable()) loop_thread_.join();
   // Workers may still be finishing requests whose connections were force
   // closed; draining the pool joins them before the pipe goes away.
-  owned_pool_.reset();
-  pool_ = nullptr;
+  pool_.reset();
   if (wake_read_fd_ >= 0) close(wake_read_fd_);
   if (wake_write_fd_ >= 0) close(wake_write_fd_);
   wake_read_fd_ = wake_write_fd_ = -1;

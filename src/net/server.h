@@ -60,7 +60,7 @@ namespace ctdb::net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral; see Server::port()
-  /// Worker threads executing requests (grows the database's shared pool).
+  /// Worker threads executing requests, in the server's own pool.
   size_t workers = 4;
   /// Admission-control cap: requests queued-or-executing before load-shed.
   size_t max_pending = 256;
@@ -130,8 +130,7 @@ class Server {
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_ = nullptr;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< runs requests; sized by workers
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};

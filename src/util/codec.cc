@@ -4,67 +4,65 @@
 
 namespace ctdb::util {
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+namespace codec {
 
-void PutU32(std::string* out, uint32_t v) {
-  const char buf[4] = {static_cast<char>(v & 0xFF),
-                       static_cast<char>((v >> 8) & 0xFF),
-                       static_cast<char>((v >> 16) & 0xFF),
-                       static_cast<char>((v >> 24) & 0xFF)};
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool GetU8(std::string_view data, size_t* offset, uint8_t* v) {
-  if (data.size() - *offset < 1) return false;
-  *v = static_cast<uint8_t>(data[*offset]);
-  *offset += 1;
+bool Reader::U8(uint8_t& v) {
+  if (remaining() < 1) return Fail("truncated");
+  v = static_cast<uint8_t>(data_[pos_++]);
   return true;
 }
 
-bool GetU32(std::string_view data, size_t* offset, uint32_t* v) {
-  if (data.size() - *offset < 4) return false;
-  const auto* p = reinterpret_cast<const uint8_t*>(data.data() + *offset);
-  *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
-  *offset += 4;
+bool Reader::U32(uint32_t& v) {
+  if (remaining() < 4) return Fail("truncated");
+  const auto* p = reinterpret_cast<const uint8_t*>(data_.data() + pos_);
+  v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+      (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+  pos_ += 4;
   return true;
 }
 
-bool GetU64(std::string_view data, size_t* offset, uint64_t* v) {
-  if (data.size() - *offset < 8) return false;
+bool Reader::U64(uint64_t& v) {
   uint32_t lo = 0, hi = 0;
-  GetU32(data, offset, &lo);
-  GetU32(data, offset, &hi);
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
+  if (!U32(lo) || !U32(hi)) return false;
+  v = static_cast<uint64_t>(hi) << 32 | lo;
   return true;
 }
 
-bool GetString(std::string_view data, size_t* offset, std::string* s) {
-  size_t pos = *offset;
+bool Reader::Str(std::string& s) {
   uint32_t len = 0;
-  if (!GetU32(data, &pos, &len) || data.size() - pos < len) return false;
-  s->assign(data.substr(pos, len));
-  *offset = pos + len;
+  if (!U32(len)) return false;
+  if (remaining() < len) return Fail("string truncated");
+  s.assign(data_.substr(pos_, len));
+  pos_ += len;
   return true;
 }
+
+Status Reader::Finish(std::string_view what) const {
+  if (error_.empty() && pos_ == data_.size()) return Status::OK();
+  if (error_.empty()) {
+    return Status::Corruption(std::string(what) + ": " +
+                              std::to_string(remaining()) +
+                              " trailing bytes after the body");
+  }
+  return Status::Corruption(std::string(what) + ": " + error_ + " at byte " +
+                            std::to_string(error_at_));
+}
+
+bool Reader::Fail(std::string why) {
+  if (error_.empty()) {
+    error_ = std::move(why);
+    error_at_ = pos_;
+  }
+  return false;
+}
+
+}  // namespace codec
 
 std::string EncodeFrame(std::string_view payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32c(payload));
+  codec::Writer header;
+  header.U32(static_cast<uint32_t>(payload.size()));
+  header.U32(Crc32c(payload));
+  std::string out = std::move(header).Take();
   out += payload;
   return out;
 }
@@ -72,16 +70,16 @@ std::string EncodeFrame(std::string_view payload) {
 FrameScan ScanFrame(std::string_view data, size_t* offset,
                     std::string_view* payload, size_t min_bytes,
                     size_t max_bytes) {
-  size_t pos = *offset;
+  codec::Reader in(data.substr(*offset));
   uint32_t length = 0, crc = 0;
-  if (!GetU32(data, &pos, &length)) return FrameScan::kNeedMore;
+  if (!in.U32(length)) return FrameScan::kNeedMore;
   if (length < min_bytes || length > max_bytes) return FrameScan::kCorrupt;
-  if (!GetU32(data, &pos, &crc)) return FrameScan::kNeedMore;
-  if (data.size() - pos < length) return FrameScan::kNeedMore;
-  const std::string_view body = data.substr(pos, length);
+  if (!in.U32(crc) || in.remaining() < length) return FrameScan::kNeedMore;
+  const std::string_view body =
+      data.substr(*offset + kFrameHeaderBytes, length);
   if (Crc32c(body) != crc) return FrameScan::kCorrupt;
   *payload = body;
-  *offset = pos + length;
+  *offset += kFrameHeaderBytes + length;
   return FrameScan::kFrame;
 }
 

@@ -4,13 +4,6 @@
 
 namespace ctdb::wal {
 
-using util::GetString;
-using util::GetU32;
-using util::GetU64;
-using util::PutString;
-using util::PutU32;
-using util::PutU64;
-
 namespace {
 
 /// A record of `type` with its common header set and an empty body.
@@ -22,6 +15,26 @@ Record Header(RecordType type, uint64_t sequence, uint64_t clock,
   r.clock = clock;
   r.contract_id = contract_id;
   return r;
+}
+
+/// The payload schema (record.h): the common header, then body(type).
+template <class Io, class R>
+bool RecordPayload(Io& io, R& r) {
+  if (!io.Enum(r.type, RecordType::kRegister, RecordType::kReplace) ||
+      !io.U64(r.sequence) || !io.U64(r.clock) || !io.U32(r.contract_id)) {
+    return false;
+  }
+  switch (r.type) {
+    case RecordType::kRegister:
+      return io.Str(r.name) && io.Str(r.ltl_text);
+    case RecordType::kUnregister:
+      break;  // the common header carries everything
+    case RecordType::kReplace:
+      return io.Str(r.ltl_text);
+    case RecordType::kCheckpoint:
+      return io.Str(r.snapshot_path);
+  }
+  return true;
 }
 
 }  // namespace
@@ -61,68 +74,16 @@ bool Record::operator==(const Record& other) const {
 }
 
 std::string EncodePayload(const Record& record) {
-  std::string out;
-  out.push_back(static_cast<char>(record.type));
-  PutU64(&out, record.sequence);
-  PutU64(&out, record.clock);
-  PutU32(&out, record.contract_id);
-  switch (record.type) {
-    case RecordType::kRegister:
-      PutString(&out, record.name);
-      PutString(&out, record.ltl_text);
-      break;
-    case RecordType::kUnregister:
-      break;  // the common header carries everything
-    case RecordType::kReplace:
-      PutString(&out, record.ltl_text);
-      break;
-    case RecordType::kCheckpoint:
-      PutString(&out, record.snapshot_path);
-      break;
-  }
-  return out;
+  util::codec::Writer out;
+  RecordPayload(out, record);
+  return std::move(out).Take();
 }
 
 Status DecodePayload(std::string_view payload, Record* record) {
-  if (payload.empty()) return Status::Corruption("empty record payload");
   *record = Record();
-  size_t offset = 0;
-  const uint8_t type = static_cast<uint8_t>(payload[offset++]);
-  if (!GetU64(payload, &offset, &record->sequence) ||
-      !GetU64(payload, &offset, &record->clock) ||
-      !GetU32(payload, &offset, &record->contract_id)) {
-    return Status::Corruption("record payload truncated in header");
-  }
-  switch (type) {
-    case static_cast<uint8_t>(RecordType::kRegister):
-      record->type = RecordType::kRegister;
-      if (!GetString(payload, &offset, &record->name) ||
-          !GetString(payload, &offset, &record->ltl_text)) {
-        return Status::Corruption("register record payload truncated");
-      }
-      break;
-    case static_cast<uint8_t>(RecordType::kUnregister):
-      record->type = RecordType::kUnregister;
-      break;
-    case static_cast<uint8_t>(RecordType::kReplace):
-      record->type = RecordType::kReplace;
-      if (!GetString(payload, &offset, &record->ltl_text)) {
-        return Status::Corruption("replace record payload truncated");
-      }
-      break;
-    case static_cast<uint8_t>(RecordType::kCheckpoint):
-      record->type = RecordType::kCheckpoint;
-      if (!GetString(payload, &offset, &record->snapshot_path)) {
-        return Status::Corruption("checkpoint record payload truncated");
-      }
-      break;
-    default:
-      return Status::Corruption("unknown record type " + std::to_string(type));
-  }
-  if (offset != payload.size()) {
-    return Status::Corruption("trailing bytes after record body");
-  }
-  return Status::OK();
+  util::codec::Reader in(payload);
+  RecordPayload(in, *record);
+  return in.Finish("record payload");
 }
 
 std::string EncodeFrame(const Record& record) {

@@ -25,6 +25,10 @@
 // sharded router): a `clock` of 0 asks the database for its next tick, and
 // Apply writes the assigned contract id and clock back before logging.
 //
+// The payload table above is implemented once, by the schema function
+// template RecordPayload in record.cc, which EncodePayload walks with a
+// util::codec::Writer and DecodePayload with a Reader.
+//
 // Decoding is hostile-input safe: any framing or structural violation comes
 // back as Status::Corruption, never a crash or overread (fuzzed by
 // tools/fuzz/fuzz_wal).
